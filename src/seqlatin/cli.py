@@ -195,11 +195,16 @@ def cmd_latin(args) -> int:
 
 
 def _decode_entries(group, rows):
-    if isinstance(group, SdSpec):
-        return [(int(r[0]), tuple(int(x) for x in r[1:])) for r in rows]
-    if isinstance(group, AbelianSpec):
-        return [tuple(int(x) for x in r) for r in rows]
-    return [int(r[0]) if isinstance(r, list) else int(r) for r in rows]
+    if not isinstance(rows, list):
+        raise GroupFormatError("terrace and sequencing must be lists")
+    try:
+        if isinstance(group, SdSpec):
+            return [(int(r[0]), tuple(int(x) for x in r[1:])) for r in rows]
+        if isinstance(group, AbelianSpec):
+            return [tuple(int(x) for x in r) for r in rows]
+        return [int(r[0]) if isinstance(r, list) else int(r) for r in rows]
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise GroupFormatError(f"malformed group element: {exc}") from None
 
 
 def cmd_verify(args) -> int:
@@ -213,7 +218,10 @@ def cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"not JSON: {exc}", file=sys.stderr)
         return 2
-    cert = doc.get("certificate", doc)
+    cert = doc.get("certificate", doc) if isinstance(doc, dict) else None
+    if not isinstance(cert, dict):
+        print("certificate must be a JSON object", file=sys.stderr)
+        return 2
     for key in ("group", "terrace", "sequencing"):
         if key not in cert:
             print(f"certificate lacks {key!r}", file=sys.stderr)
@@ -221,7 +229,12 @@ def cmd_verify(args) -> int:
     group = group_from_descriptor(cert["group"])
     terrace = _decode_entries(group, cert["terrace"])
     claimed = _decode_entries(group, cert["sequencing"])
-    ok, quots = is_directed_terrace(group, terrace)
+    # a terrace lists each element once, so a wrong length is answered
+    # without enumerating a group whose declared order may be huge
+    if len(terrace) == group.order:
+        ok, quots = is_directed_terrace(group, terrace)
+    else:
+        ok, quots = False, []
     seq_ok = ok and list(quots) == claimed
     checks = {"terrace": ok, "sequencing": seq_ok}
     if ok and group.order <= VERIFY_SQUARE_LIMIT:

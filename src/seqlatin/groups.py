@@ -277,6 +277,8 @@ class ScalarBlock:
     unit: int
 
     def __post_init__(self):
+        if self.modulus < 2:
+            raise GroupFormatError(f"scalar block modulus {self.modulus} must be >= 2")
         if math.gcd(self.unit, self.modulus) != 1:
             raise GroupFormatError(
                 f"scalar {self.unit} is not a unit mod {self.modulus}"
@@ -307,6 +309,8 @@ class MatrixBlock:
     mat: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.p < 2:
+            raise GroupFormatError(f"matrix block modulus {self.p} must be >= 2")
         rows = tuple(tuple(x % self.p for x in row) for row in self.mat)
         object.__setattr__(self, "mat", rows)
         if any(len(row) != len(rows) for row in rows):
@@ -568,6 +572,115 @@ class TableGroup:
 
 
 # ---------------------------------------------------------------------------
+# integer encoding: an element is its position in group.elements()
+
+
+class AbelianIndex:
+    """Mixed-radix encoding of an AbelianSpec.
+
+    row(g) lists index(g + h) for every h in elements() order.  Translating
+    by g rotates the last coordinate inside each run of equal leading
+    coordinates, and moves the runs as the leading coordinates' own row
+    says, so a row is a concatenation of slices of doubled runs; no cell
+    is computed on its own.  `span` (default the order) bounds the offsets
+    row() accepts: offset + order <= span.
+    """
+
+    def __init__(self, spec: AbelianSpec, span: int = 0):
+        self.order = spec.order
+        self.index = spec.index_of
+        *head, self._last = spec.factors or (1,)
+        self._lead = AbelianIndex(AbelianSpec(tuple(head))) if head else None
+        last = self._last
+        self._runs = [
+            list(range(lo, lo + last)) * 2 for lo in range(0, span or self.order, last)
+        ]
+
+    def row(self, g: int, offset: int = 0) -> list[int]:
+        """index(g + h) + offset for every h, in elements() order."""
+        last = self._last
+        lead, c = divmod(g, last)
+        runs, first, stop = self._runs, offset // last, c + last
+        if self._lead is None:
+            return runs[first][c:stop]
+        out: list[int] = []
+        for p in self._lead.row(lead):
+            out += runs[first + p][c:stop]
+        return out
+
+
+class SdIndex:
+    """Encoding of an SdSpec: (u, v) sits at u * |A| + index(v).
+
+    Since (u, v) * (x, y) = (u + x, alpha^x(v) + y), the row of (u, v) is,
+    for each x, the base row of alpha^x(v) offset by ((u + x) mod s) * |A|.
+    Besides the base's runs, the only table kept is index(alpha^x(v)) for
+    every x and v: s * |A| ints, the group's order.
+    """
+
+    def __init__(self, group: SdSpec):
+        self.s = group.s
+        self.order = group.order
+        self.base = AbelianIndex(group.base, self.order)
+        # index(alpha(v)) for every v: alpha acts blockwise, and blocks
+        # cover the coordinates in order, so index(alpha(v)) is the
+        # mixed-radix value of the blocks' images, each indexed in its block
+        once = [0]
+        for b in group.alpha.blocks:
+            m = b.modulus if isinstance(b, ScalarBlock) else b.p
+            sub = AbelianSpec((m,) * b.width)
+            images = [sub.index_of(b.apply_power(1, v)) for v in sub.elements()]
+            once = [p * len(images) + t for p in once for t in images]
+        twists = [list(range(group.base.order))]
+        for _ in range(1, self.s):
+            twists.append([once[i] for i in twists[-1]])
+        self._twists = twists
+
+    def index(self, e: SdElem) -> int:
+        u, v = e
+        return u * self.base.order + self.base.index(v)
+
+    def row(self, g: int) -> list[int]:
+        s, na, base_row = self.s, self.base.order, self.base.row
+        u, iv = divmod(g, na)
+        out: list[int] = []
+        for x, twist in enumerate(self._twists):
+            out += base_row(twist[iv], ((u + x) % s) * na)
+        return out
+
+
+class TableIndex:
+    """A TableGroup is already encoded: its rows are the product rows."""
+
+    def __init__(self, group: TableGroup):
+        self._rows = group._rows
+        self.order = group.order
+
+    def index(self, e: int) -> int:
+        return e
+
+    def row(self, g: int) -> list[int]:
+        return list(self._rows[g])
+
+
+def compile_index(group):
+    """The integer encoding of a group, indices in group.elements() order.
+
+    The result has .order, .index(e) and .row(g), where row(g)[h] is the
+    index of g*h for indices g and h.  Compile one per use: it holds O(n)
+    ints besides a table group's own table, and each row is built on
+    demand in O(n) list operations.
+    """
+    if isinstance(group, AbelianSpec):
+        return AbelianIndex(group)
+    if isinstance(group, SdSpec):
+        return SdIndex(group)
+    if isinstance(group, TableGroup):
+        return TableIndex(group)
+    raise GroupFormatError(f"cannot encode group of type {type(group).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # descriptors (JSON-friendly dicts)
 
 
@@ -581,19 +694,42 @@ def automorphism_to_descriptor(alpha: Automorphism) -> dict:
     return {"blocks": blocks}
 
 
-def automorphism_from_descriptor(obj: dict) -> Automorphism:
+def _field(body, key: str, what: str):
+    if not isinstance(body, dict) or key not in body:
+        raise GroupFormatError(f"{what} needs a {key!r} field")
+    return body[key]
+
+
+def _int(x, what: str) -> int:
     try:
-        raw = obj["blocks"]
-    except (TypeError, KeyError):
-        raise GroupFormatError("automorphism descriptor needs a 'blocks' list")
+        return int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise GroupFormatError(f"{what} must be an integer, got {x!r}") from None
+
+
+def _list(raw, what: str) -> list:
+    if not isinstance(raw, list):
+        raise GroupFormatError(f"{what} must be a list")
+    return raw
+
+
+def _ints(raw, what: str) -> tuple[int, ...]:
+    return tuple(_int(x, what) for x in _list(raw, what))
+
+
+def automorphism_from_descriptor(obj: dict) -> Automorphism:
+    raw = _list(_field(obj, "blocks", "automorphism descriptor"), "'blocks'")
     blocks: list[ScalarBlock | MatrixBlock] = []
     for item in raw:
-        kind = item.get("kind")
+        kind = _field(item, "kind", "automorphism block")
         if kind == "scalar":
-            blocks.append(ScalarBlock(int(item["modulus"]), int(item["unit"])))
+            modulus = _int(_field(item, "modulus", "scalar block"), "modulus")
+            unit = _int(_field(item, "unit", "scalar block"), "unit")
+            blocks.append(ScalarBlock(modulus, unit))
         elif kind == "matrix":
-            rows = tuple(tuple(int(x) for x in r) for r in item["rows"])
-            blocks.append(MatrixBlock(int(item["p"]), rows))
+            rows = _list(_field(item, "rows", "matrix block"), "matrix rows")
+            mat = tuple(_ints(r, "matrix row") for r in rows)
+            blocks.append(MatrixBlock(_int(_field(item, "p", "matrix block"), "p"), mat))
         else:
             raise GroupFormatError(f"unknown automorphism block kind {kind!r}")
     return Automorphism(tuple(blocks))
@@ -628,20 +764,22 @@ def group_from_descriptor(obj: dict):
             "'abelian', 'semidirect', 'table'"
         )
     if "abelian" in obj:
-        return AbelianSpec(tuple(int(m) for m in obj["abelian"]))
+        return AbelianSpec(_ints(obj["abelian"], "'abelian'"))
     if "semidirect" in obj:
         body = obj["semidirect"]
+        what = "semidirect descriptor"
         return SdSpec(
-            s=int(body["s"]),
-            base=AbelianSpec(tuple(int(m) for m in body["base"])),
-            alpha=automorphism_from_descriptor(body["alpha"]),
+            s=_int(_field(body, "s", what), "'s'"),
+            base=AbelianSpec(_ints(_field(body, "base", what), "'base'")),
+            alpha=automorphism_from_descriptor(_field(body, "alpha", what)),
         )
     if "table" in obj:
         body = obj["table"]
-        grp = TableGroup(body["mul"])
-        if "n" in body and int(body["n"]) != grp.order:
+        rows = _list(_field(body, "mul", "table descriptor"), "'mul'")
+        grp = TableGroup([_list(r, "table row") for r in rows])
+        if "n" in body and _int(body["n"], "'n'") != grp.order:
             raise GroupFormatError("table descriptor 'n' does not match the table")
-        if "id" in body and int(body["id"]) != grp.identity:
+        if "id" in body and _int(body["id"], "'id'") != grp.identity:
             raise GroupFormatError("table descriptor 'id' is not the identity")
         return grp
     raise GroupFormatError(f"unknown group descriptor keys {sorted(obj)!r}")

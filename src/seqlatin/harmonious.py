@@ -226,7 +226,7 @@ def transform_hash(h: HashHarmonious, op: str, arg=None) -> HashHarmonious:
     entries = list(h.entries)
     if op == "scale":
         if isinstance(arg, Automorphism):
-            entries = [arg.apply(group, e) for e in entries]
+            entries = [arg.apply(e) for e in entries]
         else:
             u = int(arg)
             if gcd(u, group.exponent) != 1:

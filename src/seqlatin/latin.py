@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import NotATerrace, OddOrder
-from .groups import AbelianSpec, ScalarBlock, SdSpec
+from .groups import compile_index
 
 
 def _as_tuple_elem(e):
@@ -53,48 +54,22 @@ class LatinSquare:
     col_order: tuple
 
 
-def _cyclic_sd_grid(group: SdSpec, rows, seq):
-    """Integer-encoded grid for a scalar action on a single cyclic factor.
-
-    Element (u, (v,)) sits at index u*m + v, so each cell needs one
-    modular add once the row's twisted images r^x * v are tabulated.
-    """
-    s, m = group.s, group.base.order
-    r = group.alpha.blocks[0].unit
-    rpows = [pow(r, x, m) for x in range(s)]
-    xs = [e[0] for e in seq]
-    ys = [e[1][0] for e in seq]
-    grid = []
-    for cu, cv in rows:
-        uoff = [((cu + x) % s) * m for x in range(s)]
-        w = [rpows[x] * cv[0] for x in range(s)]
-        grid.append(tuple(uoff[x] + (w[x] + y) % m for x, y in zip(xs, ys)))
-    return tuple(grid)
-
-
 def terrace_to_complete_square(group, terrace) -> LatinSquare:
-    """Rows run through the terrace's elementwise inverses, columns through the terrace."""
+    """Rows run through the terrace's elementwise inverses, columns through the terrace.
+
+    Cell (i, j) is the index, in group.elements() order, of row i times
+    column j: the row's product row read at the terrace's indices.
+    """
     ok, _ = is_directed_terrace(group, terrace)
     if not ok:
         raise NotATerrace("row/column source must be a directed terrace")
     seq = [_as_tuple_elem(e) for e in terrace]
     rows = [group.inv(e) for e in seq]
-    if (
-        isinstance(group, SdSpec)
-        and len(group.base.factors) == 1
-        and len(group.alpha.blocks) == 1
-        and isinstance(group.alpha.blocks[0], ScalarBlock)
-    ):
-        grid = _cyclic_sd_grid(group, rows, seq)
-    elif isinstance(group, AbelianSpec) and len(group.factors) == 1:
-        m = group.order
-        ys = [e[0] for e in seq]
-        grid = tuple(tuple((cv[0] + y) % m for y in ys) for cv in rows)
-    else:
-        index = {e: i for i, e in enumerate(group.elements())}
-        grid = tuple(
-            tuple(index[group.mul(g, h)] for h in seq) for g in rows
-        )
+    enc = compile_index(group)
+    cols = [enc.index(e) for e in seq]
+    # itemgetter with one key returns the bare item, not a 1-tuple
+    pick = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
+    grid = tuple(pick(enc.row(enc.index(g))) for g in rows)
     return LatinSquare(len(seq), grid, tuple(rows), tuple(seq))
 
 

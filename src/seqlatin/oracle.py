@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .desk import desk_cap
 from .errors import DeskScaleExceeded, NotFound
-from .groups import TableGroup
+from .groups import TableGroup, compile_index
 
 EXHAUSTIVE_CAP = 16
 GRACEFUL_CAP = 8
@@ -43,13 +43,10 @@ class ExhaustiveResult:
 
 
 def _index_tables(group):
+    enc = compile_index(group)
     elems = list(group.elements())
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    quot = [
-        [index[group.quot(elems[a], elems[b])] for b in range(n)] for a in range(n)
-    ]
-    return elems, index[group.identity], quot
+    quot = [enc.row(enc.index(group.inv(e))) for e in elems]
+    return elems, enc.index(group.identity), quot
 
 
 def _walk(quot, n, ident, start_branches, limit):

@@ -102,7 +102,9 @@ def _flatten(e):
 def _certify(group, arrangement, provenance) -> SequencingCertificate:
     ok, quots = is_directed_terrace(group, arrangement)
     if not ok:
-        raise ConstructionFailed("assembled arrangement failed the terrace checker")
+        raise ConstructionFailed(
+            "certify", "assembled arrangement failed the terrace checker"
+        )
     return SequencingCertificate(group, tuple(arrangement), tuple(quots), provenance)
 
 
@@ -264,6 +266,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
                     if got:
                         return finish(r, *got, "extended", {})
     raise ConstructionFailed(
+        "sequence_cyclic",
         "orbit exhausted without a verified candidate -- treated as a bug; "
         "the exhaustive oracle remains available for small orders"
     )
@@ -336,7 +339,9 @@ def build_nondiag_aut(p: int, k: int, q: int) -> NondiagAut:
     )
     alpha = Automorphism((MatrixBlock(p, full),))
     if alpha.order != q:
-        raise ConstructionFailed(f"companion power has order {alpha.order}, wanted {q}")
+        raise ConstructionFailed(
+            "build_nondiag_aut", f"companion power has order {alpha.order}, wanted {q}"
+        )
     return NondiagAut(alpha, n, d, mat_identity(k))
 
 
@@ -477,7 +482,7 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
                 )
                 return SequencingCertificate(sd, tuple(arr), tuple(quots), prov)
         failures.append("no adjacent independent pair matched")
-    raise ConstructionFailed(f"finisher exhausted: {failures}")
+    raise ConstructionFailed("finish_template", f"finisher exhausted: {failures}")
 
 
 def _pk_base(p: int, k: int, seed: int) -> tuple[RTerrace, str]:
@@ -571,7 +576,7 @@ def sequence_theorem3(
         lift = graceful_to_r_terrace(gperm)
         std = transform(lift, "rotate", 2 * p - 1)  # the star of the lift
         if not std.is_standard:
-            raise ConstructionFailed("Walecki lift star not at index 2p-1")
+            raise ConstructionFailed("sequence_theorem3", "Walecki lift star not at index 2p-1")
         tmod = 3
         chain = fgm_extend(std, p)
         prov_base = {"walecki_k": kg, "star_index": 2 * p - 1}
@@ -639,7 +644,7 @@ def sequence_order(n: int, seed: int = 0, desk_limit: Optional[int] = None):
         arr = walecki_terrace(n)
         ok, quots = is_directed_terrace(g, arr)
         if not ok:
-            raise ConstructionFailed("Walecki terrace failed the checker")
+            raise ConstructionFailed("sequence_order", "Walecki terrace failed the checker")
         return SequencingCertificate(
             g, tuple(arr), tuple(quots), {"pipeline": "walecki", "n": n}
         )

@@ -1,4 +1,4 @@
-"""Block template for directed terraces of semidirect products Z_q x| A.
+r"""Block template for directed terraces of semidirect products Z_q x| A.
 
 The proposed terrace runs: a prefix (0, g_1..g_t), then m-1 blocks whose
 first coordinates walk 1, lam^{q-2}, ..., lam while the second coordinates

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from seqlatin.cli import main
+from seqlatin.groups import AbelianSpec
 
 
 def run(capsys, argv):
@@ -129,6 +130,43 @@ def test_verify_bad_inputs(tmp_path, capsys):
     bad.write_text(json.dumps({"certificate": {"group": {"abelian": [6]}}}))
     assert run(capsys, ["verify", str(bad)])[0] == 2
     assert run(capsys, ["verify", str(tmp_path / "missing.json")])[0] == 2
+    bad.write_text(json.dumps([{"group": {"abelian": [2]}}]))
+    assert run(capsys, ["verify", str(bad)])[0] == 2
+    entries = {"terrace": [[0, 0], [1, 0]], "sequencing": [[1, 0]]}
+    zero_scalar = {"kind": "scalar", "modulus": 0, "unit": 1}
+    zero_matrix = {"kind": "matrix", "p": 0, "rows": [[1]]}
+    for group in (
+        {"semidirect": {"s": 3}},
+        {"semidirect": {"s": 3, "base": 7, "alpha": {"blocks": []}}},
+        {"semidirect": {"s": 3, "base": [7], "alpha": {"blocks": [{"kind": "scalar"}]}}},
+        {"semidirect": {"s": 3, "base": [7], "alpha": {"blocks": [7]}}},
+        {"semidirect": {"s": 2, "base": [7], "alpha": {"blocks": [zero_scalar]}}},
+        {"semidirect": {"s": 2, "base": [7], "alpha": {"blocks": [zero_matrix]}}},
+        {"abelian": [[2]]},
+        {"table": {"mul": 5}},
+        {"table": {"mul": [1, 0]}},
+    ):
+        bad.write_text(json.dumps(dict(entries, group=group)))
+        assert run(capsys, ["verify", str(bad)])[0] == 2, group
+    bad.write_text(json.dumps({"group": {"abelian": [2]}, "terrace": 5, "sequencing": []}))
+    assert run(capsys, ["verify", str(bad)])[0] == 2
+
+
+def test_verify_wrong_length_skips_the_group(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("enumerated the declared group")
+
+    monkeypatch.setattr(AbelianSpec, "elements", refuse)
+    path = tmp_path / "huge.json"
+    doc = {
+        "group": {"abelian": [1000000, 1000000]},
+        "terrace": [[0, 0], [0, 1]],
+        "sequencing": [[0, 1]],
+    }
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 1
+    assert json.loads(out)["checks"] == {"terrace": False, "sequencing": False}
 
 
 def test_latin_csv_file(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from seqlatin.errors import GroupFormatError, NotCoprime, ShapeMismatch
-from seqlatin.groups import AbelianSpec, cyclic
+from seqlatin.groups import AbelianSpec, Automorphism, cyclic
 from seqlatin.harmonious import (
     Harmonious,
     HashHarmonious,
@@ -154,6 +154,8 @@ def test_transform_scale():
     out = transform_hash(h, "scale", 2)
     assert check_hash(h.group, out.entries)
     assert out.entries == tuple(((2 * v[0]) % 7,) for v in h.entries)
+    by_aut = transform_hash(h, "scale", Automorphism.scalar_on(cyclic(7), 2))
+    assert by_aut.entries == out.entries
 
 
 def test_transform_rotate_zero_is_identity():

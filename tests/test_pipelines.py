@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import seqlatin.pipelines as pipelines
 from seqlatin.errors import (
+    ConstructionFailed,
     Diagonalisable,
     DeskScaleExceeded,
     NoSuchUnit,
@@ -259,3 +261,13 @@ def test_certificate_json_shape():
     assert len(doc["terrace"]) == 21
     assert len(doc["sequencing"]) == 20
     assert doc["provenance"]["pipeline"] == "cyclic"
+
+
+def test_rejected_terrace_raises_construction_failed(monkeypatch):
+    monkeypatch.setattr(pipelines, "is_directed_terrace", lambda group, arr: (False, []))
+    with pytest.raises(ConstructionFailed) as exc:
+        sequence_cyclic(3, 7)
+    assert exc.value.stage == "certify"
+    with pytest.raises(ConstructionFailed) as exc:
+        sequence_order(6)
+    assert exc.value.stage == "sequence_order"

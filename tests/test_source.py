@@ -1,0 +1,15 @@
+"""Package sources compile without warnings (invalid escapes and the like)."""
+
+import warnings
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "seqlatin").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_source_compiles_without_warnings(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(), str(path), "exec")
