@@ -18,6 +18,10 @@ factor, always reduced mod the factor.  Semidirect elements are pairs
 (u, v) with u an int mod s and v an abelian element.  Table elements are
 the indices 0..n-1 into the table itself.
 
+compile_index(group) gives the one integer encoding of any of the three:
+an element is its position in elements(), and row(g) lists the indices
+of g*h over every h.  Squares and the exhaustive oracle work on it.
+
 The JSON descriptor for a group is one of
 
     {"abelian": [n1, n2, ...]}
@@ -587,13 +591,12 @@ class AbelianIndex:
     """
 
     def __init__(self, spec: AbelianSpec, span: int = 0):
-        self.order = spec.order
         self.index = spec.index_of
         *head, self._last = spec.factors or (1,)
         self._lead = AbelianIndex(AbelianSpec(tuple(head))) if head else None
         last = self._last
         self._runs = [
-            list(range(lo, lo + last)) * 2 for lo in range(0, span or self.order, last)
+            list(range(lo, lo + last)) * 2 for lo in range(0, span or spec.order, last)
         ]
 
     def row(self, g: int, offset: int = 0) -> list[int]:
@@ -619,9 +622,8 @@ class SdIndex:
     """
 
     def __init__(self, group: SdSpec):
-        self.s = group.s
-        self.order = group.order
-        self.base = AbelianIndex(group.base, self.order)
+        self._s, self._na = group.s, group.base.order
+        self._base = AbelianIndex(group.base, group.order)
         # index(alpha(v)) for every v: alpha acts blockwise, and blocks
         # cover the coordinates in order, so index(alpha(v)) is the
         # mixed-radix value of the blocks' images, each indexed in its block
@@ -631,17 +633,17 @@ class SdIndex:
             sub = AbelianSpec((m,) * b.width)
             images = [sub.index_of(b.apply_power(1, v)) for v in sub.elements()]
             once = [p * len(images) + t for p in once for t in images]
-        twists = [list(range(group.base.order))]
-        for _ in range(1, self.s):
+        twists = [list(range(self._na))]
+        for _ in range(1, self._s):
             twists.append([once[i] for i in twists[-1]])
         self._twists = twists
 
     def index(self, e: SdElem) -> int:
         u, v = e
-        return u * self.base.order + self.base.index(v)
+        return u * self._na + self._base.index(v)
 
     def row(self, g: int) -> list[int]:
-        s, na, base_row = self.s, self.base.order, self.base.row
+        s, na, base_row = self._s, self._na, self._base.row
         u, iv = divmod(g, na)
         out: list[int] = []
         for x, twist in enumerate(self._twists):
@@ -654,7 +656,6 @@ class TableIndex:
 
     def __init__(self, group: TableGroup):
         self._rows = group._rows
-        self.order = group.order
 
     def index(self, e: int) -> int:
         return e
@@ -666,7 +667,7 @@ class TableIndex:
 def compile_index(group):
     """The integer encoding of a group, indices in group.elements() order.
 
-    The result has .order, .index(e) and .row(g), where row(g)[h] is the
+    The result has .index(e) and .row(g), where row(g)[h] is the
     index of g*h for indices g and h.  Compile one per use: it holds O(n)
     ints besides a table group's own table, and each row is built on
     demand in O(n) list operations.
