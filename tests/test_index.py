@@ -89,8 +89,8 @@ def digest(grid):
     return hashlib.blake2b(repr(grid).encode(), digest_size=16).hexdigest()
 
 
-# Digests of the grids the seed's three grid branches (cyclic scalar
-# action, one-factor abelian, generic group.mul) produced.
+# Digests recorded from the per-shape grid code (cyclic scalar action,
+# one-factor abelian, generic group.mul) that the encoding replaced.
 CATALOGUE = {
     "order:63": (lambda: sequence_order(63), "a58fd388c42026ec7b5570876db199d3"),
     "order:100": (lambda: sequence_order(100), "77a7f2a6dbb3287cdd9f8fcf73fbc035"),
