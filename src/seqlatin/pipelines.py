@@ -1,9 +1,10 @@
 """End-to-end sequencing constructions for the semidirect families.
 
-Every pipeline returns a SequencingCertificate whose terrace has been
-re-checked by the definitional checker; nothing is trusted merely
-because the construction says so.  Provenance carries all intermediate
-artifacts so a certificate can be audited offline.
+Every pipeline returns a SequencingCertificate that passed one gate,
+_certify: the definitional terrace check of the finished arrangement.
+The constructions are theorems, so nothing before it is re-checked.
+Provenance carries all intermediate artifacts so a certificate can be
+audited offline.
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ from .rotational import (
     RTerrace,
     fgm_extend,
     fgm_extend_many,
-    make_r_terrace,
     search_r_terrace_retry,
     transform,
 )
-from .template import assemble, checklist, theorem4_assign
+from .template import assemble, theorem4_assign
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,11 @@ def _flatten(e):
     return tuple(e)
 
 
-def _certify(group, arrangement, provenance) -> SequencingCertificate:
+def _certify(group, arrangement, provenance) -> Optional[SequencingCertificate]:
+    """The certificate of a directed terrace, or None when it is not one."""
     ok, quots = is_directed_terrace(group, arrangement)
     if not ok:
-        raise ConstructionFailed(
-            "certify", "assembled arrangement failed the terrace checker"
-        )
+        return None
     return SequencingCertificate(group, tuple(arrangement), tuple(quots), provenance)
 
 
@@ -180,12 +179,9 @@ def _try_cyclic_candidate(sd, lam, h0, hash_vals, terrace_vals, r, u, start, rev
     tu, tstart, trev = pl
     tseq = terrace_vals[::-1] if trev else terrace_vals
     n = len(tseq)
-    a = make_r_terrace(A, [(tu * tseq[(tstart + i) % n] % m,) for i in range(n)])
+    a = RTerrace(A, tuple((tu * tseq[(tstart + i) % n] % m,) for i in range(n)))
     h, hops = _arrange_hash(h0, u, start, rev)
-    inputs = theorem4_assign(a, h, sd, lam)
-    if not checklist(inputs).all_pass:
-        return None
-    arr = assemble(inputs)
+    arr = assemble(theorem4_assign(a, h, sd, lam))
     detail = {
         "a1": x,
         "alast": y,
@@ -205,7 +201,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
     the hash endpoints (principal (-2s, s)-shaped ones first, then every
     reachable pair) and solve for the terrace arrangement realizing the
     two endpoint conditions exactly, so no per-candidate search is
-    needed.  Each winner is re-verified by checklist and checker.
+    needed.  The first candidate that passes _certify is returned.
     """
     if not is_prime(q) or q % 2 == 0:
         raise ValueError(f"q must be an odd prime, got {q}")
@@ -222,8 +218,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
     rs = units_of_order(m, q)
     inv2 = pow(2, -1, m)
 
-    def finish(r, arr, detail, route, extra):
-        sd = SdSpec(q, A, Automorphism((ScalarBlock(m, r),)))
+    def certify(sd, r, arr, detail, route, extra):
         prov = {
             "pipeline": "cyclic",
             "q": q,
@@ -250,8 +245,9 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
                 if pl is None:
                     continue
                 got = _try_cyclic_candidate(sd, lam, h0, hash_vals, terrace_vals, r, *pl)
-                if got:
-                    return finish(r, *got, "principal", {"sign": sign, "role": role})
+                cert = got and certify(sd, r, *got, "principal", {"sign": sign, "role": role})
+                if cert:
+                    return cert
     # extended scan over every reachable endpoint pair
     for r in rs:
         sd = SdSpec(q, A, Automorphism((ScalarBlock(m, r),)))
@@ -263,8 +259,9 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
                     got = _try_cyclic_candidate(
                         sd, lam, h0, hash_vals, terrace_vals, r, u, start, rev
                     )
-                    if got:
-                        return finish(r, *got, "extended", {})
+                    cert = got and certify(sd, r, *got, "extended", {})
+                    if cert:
+                        return cert
     raise ConstructionFailed(
         "sequence_cyclic",
         "orbit exhausted without a verified candidate -- treated as a bug; "
@@ -404,7 +401,7 @@ def _locate_pair(values, first, last):
 
 
 def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
-    """Allocate hash endpoints, move a terrace pair onto the targets, verify.
+    """Allocate hash endpoints, move a terrace pair onto the targets, certify.
 
     Both (c_1, c_last) allocations of {1, -2} (first slot) are tried;
     the endpoint conditions then pin the targets, and any adjacent
@@ -457,19 +454,13 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
                 if not _independent(fst, lst, prefix, p):
                     continue
                 psi = pair_transport(A, (fst, lst), (x, y))
-                at = make_r_terrace(
-                    A, [psi.apply(seq[(j + i) % n]) for i in range(n)]
-                )
-                inputs = theorem4_assign(at, h, sd, lam)
-                if not checklist(inputs).all_pass:
-                    continue
-                arr = assemble(inputs)
-                ok, quots = is_directed_terrace(sd, arr)
-                if not ok:
-                    continue
-                prov = dict(prov)
-                prov.update(
+                at = RTerrace(A, tuple(psi.apply(seq[(j + i) % n]) for i in range(n)))
+                arr = assemble(theorem4_assign(at, h, sd, lam))
+                cert = _certify(
+                    sd,
+                    arr,
                     {
+                        **prov,
                         "lam": lam,
                         "hash_ops": hops,
                         "allocation": {"c1": c1, "clast": clast},
@@ -478,9 +469,10 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
                         "psi": [list(r) for r in psi.blocks[0].mat],
                         "r_terrace": [list(e) for e in at.entries],
                         "hash": [list(e) for e in h.entries],
-                    }
+                    },
                 )
-                return SequencingCertificate(sd, tuple(arr), tuple(quots), prov)
+                if cert:
+                    return cert
         failures.append("no adjacent independent pair matched")
     raise ConstructionFailed("finish_template", f"finisher exhausted: {failures}")
 
@@ -531,7 +523,6 @@ def sequence_non3(
     sd = SdSpec(q, a, alpha)
     base, src = _pk_base(p, k, seed)
     rt = fgm_extend_many(base, b)
-    rt = make_r_terrace(a, [tuple(e) for e in rt.entries])
     prov = {
         "pipeline": "non3",
         "p": p,
@@ -600,7 +591,7 @@ def sequence_theorem3(
     entries = [
         (e[0] % p, e[1], e[0] % tmod) + tuple(e[2:]) for e in chain.entries
     ]
-    rt = make_r_terrace(a, entries)  # CRT slot split of the leading factor
+    rt = RTerrace(a, tuple(entries))  # CRT slot split of the leading factor
     alpha = Automorphism(
         (MatrixBlock(p, naut.alpha.blocks[0].mat), ScalarBlock(tmod, 1))
         + tuple(ScalarBlock(mod, 1) for mod in b.factors)
@@ -640,14 +631,10 @@ def sequence_order(n: int, seed: int = 0, desk_limit: Optional[int] = None):
     if n == 1:
         return TrivialOrder()
     if n % 2 == 0:
-        g = cyclic(n)
-        arr = walecki_terrace(n)
-        ok, quots = is_directed_terrace(g, arr)
-        if not ok:
+        cert = _certify(cyclic(n), walecki_terrace(n), {"pipeline": "walecki", "n": n})
+        if cert is None:
             raise ConstructionFailed("sequence_order", "Walecki terrace failed the checker")
-        return SequencingCertificate(
-            g, tuple(arr), tuple(quots), {"pipeline": "walecki", "n": n}
-        )
+        return cert
     cls = classify_order(n)
     if cls.witness is None:
         return NoGroupBasedCLS(n, cls.verdict)

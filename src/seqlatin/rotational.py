@@ -238,7 +238,8 @@ def _fgm_second_stream_search(base: RTerrace, w: int) -> Optional[RTerrace]:
     entries = [entry(i) for i in range(total)]
     res = check_r_terrace(product, entries)
     if res.is_r and res.star_indices:
-        return standardize(RTerrace(product, tuple(entries)))
+        j = res.star_indices[0]  # standard form: rotate the first star to 0
+        return RTerrace(product, tuple(entries[j:] + entries[:j]), 0)
     return None
 
 
@@ -256,7 +257,8 @@ def fgm_extend(base: RTerrace, w: int) -> RTerrace:
     product, entries = _fgm_assemble(base, w, xs, fs)
     res = check_r_terrace(product, entries)
     if res.is_r and res.star_indices:
-        return standardize(RTerrace(product, tuple(entries)))
+        j = res.star_indices[0]  # standard form: rotate the first star to 0
+        return RTerrace(product, tuple(entries[j:] + entries[:j]), 0)
     # order-3 bases break the pair-shaped rows outright (exhausted by
     # sweep): fall back to filling the second coordinates by search
     if base.group.order == 3:

@@ -8,6 +8,7 @@ first coordinates burn through Z_q \ {0, 1}, then the suffix
 h families is equivalent to the assembled arrangement being a directed
 terrace; the theorem-4 assignment fills the grid from an R-terrace of A
 and a #-harmonious sequence so that the checklist passes by construction.
+The pipelines certify only the assembled arrangement; checklist explains.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ class ChecklistReport:
 
 
 def checklist(inputs: TemplateInputs) -> ChecklistReport:
-    """Evaluate every coverage family the template requires.
+    """Explain an arrangement: evaluate every coverage family the template requires.
 
     (a) the first block entry continues the prefix with quotient (1, 0);
     (b) the g values cover A; (c) each h row covers A minus zero; (d) the

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from seqlatin.cli import main
-from seqlatin.groups import AbelianSpec
+from seqlatin.groups import AbelianSpec, ScalarBlock
 
 
 def run(capsys, argv):
@@ -167,6 +167,24 @@ def test_verify_wrong_length_skips_the_group(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", str(path)])
     assert code == 1
     assert json.loads(out)["checks"] == {"terrace": False, "sequencing": False}
+
+
+def test_verify_huge_semidirect_modulus_answers_at_once(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("stepped through the powers of the unit")
+
+    monkeypatch.setattr(ScalarBlock, "order", property(refuse))
+    path = tmp_path / "sd.json"
+    unit = {"kind": "scalar", "modulus": 1000000007, "unit": 5}
+    doc = {
+        "group": {"semidirect": {"s": 2, "base": [1000000007], "alpha": {"blocks": [unit]}}},
+        "terrace": [[0, 0], [1, 0]],
+        "sequencing": [[1, 0]],
+    }
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["verify", str(path)])
+    assert code == 1
+    assert "does not divide s=2" in err
 
 
 def test_latin_csv_file(tmp_path, capsys):

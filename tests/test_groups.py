@@ -26,6 +26,7 @@ from seqlatin.groups import (
     mat_inv,
     mat_mul,
 )
+from seqlatin.oracle import d8_table, q8_table, s3_table
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +262,21 @@ def test_sd_rejects_bad_alpha_order():
         SdSpec(5, cyclic(7), Automorphism((ScalarBlock(7, 2),)))
 
 
+def test_sd_alpha_check_does_not_step_powers(monkeypatch):
+    def refuse(self):
+        raise AssertionError("stepped through the powers of a block")
+
+    monkeypatch.setattr(ScalarBlock, "order", property(refuse))
+    monkeypatch.setattr(MatrixBlock, "order", property(refuse))
+    big = 1000000007
+    with pytest.raises(OrderMismatch):
+        SdSpec(2, cyclic(big), Automorphism((ScalarBlock(big, 5),)))
+    fib = MatrixBlock(1000003, ((0, 1), (1, 1)))
+    with pytest.raises(OrderMismatch):
+        SdSpec(3, AbelianSpec((1000003, 1000003)), Automorphism((fib,)))
+    assert SdSpec(6, cyclic(7), Automorphism((ScalarBlock(7, 2),))).order == 42
+
+
 def test_sd_element_order():
     g = z3_z7()
     assert g.element_order(g.identity) == 1
@@ -317,6 +333,50 @@ def test_table_rejects_non_associative():
         [4, 2, 1, 0, 3],
     ]
     with pytest.raises(GroupFormatError):
+        TableGroup(rows)
+
+
+def cyclic_rows(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def test_table_validates_large_and_small_groups():
+    assert TableGroup(cyclic_rows(512)).order == 512
+    assert TableGroup([[a ^ b for b in range(512)] for a in range(512)]).order == 512
+    for table in (s3_table(), d8_table(), q8_table()):
+        assert TableGroup(table.mul_table()).order == table.order
+
+
+def test_table_rejects_swapped_intercalate_above_512():
+    # swapping the intercalate on rows and columns {1, 1 + n/2} keeps the
+    # table Latin with identity 0, but no longer a group
+    n, h = 520, 260
+    rows = cyclic_rows(n)
+    for a in (1, 1 + h):
+        rows[a][1], rows[a][1 + h] = rows[a][1 + h], rows[a][1]
+    with pytest.raises(GroupFormatError):
+        TableGroup(rows)
+
+
+def test_table_rejects_loop_needing_too_many_generators():
+    # a Latin loop of order 12 whose greedy generating set reaches
+    # 0..3, then 0..7, then needs a fourth generator; a group of order 12
+    # never needs more than three
+    rows = [
+        [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+        [1, 0, 3, 2, 5, 9, 7, 11, 6, 10, 8, 4],
+        [2, 3, 0, 1, 7, 10, 11, 9, 5, 8, 4, 6],
+        [3, 2, 1, 0, 6, 7, 5, 10, 9, 4, 11, 8],
+        [4, 5, 6, 11, 3, 1, 0, 8, 10, 7, 9, 2],
+        [5, 7, 4, 10, 1, 11, 8, 6, 3, 0, 2, 9],
+        [6, 4, 7, 8, 0, 2, 9, 3, 11, 1, 5, 10],
+        [7, 6, 5, 9, 2, 8, 10, 4, 0, 11, 1, 3],
+        [8, 9, 11, 5, 10, 6, 3, 1, 4, 2, 0, 7],
+        [9, 8, 10, 4, 11, 3, 2, 0, 7, 5, 6, 1],
+        [10, 11, 9, 6, 8, 0, 4, 2, 1, 3, 7, 5],
+        [11, 10, 8, 7, 9, 4, 1, 5, 2, 6, 3, 0],
+    ]
+    with pytest.raises(GroupFormatError, match="generators"):
         TableGroup(rows)
 
 

@@ -265,9 +265,13 @@ def test_certificate_json_shape():
 
 def test_rejected_terrace_raises_construction_failed(monkeypatch):
     monkeypatch.setattr(pipelines, "is_directed_terrace", lambda group, arr: (False, []))
+    # each pipeline skips the rejected candidates and fails in its own stage
     with pytest.raises(ConstructionFailed) as exc:
         sequence_cyclic(3, 7)
-    assert exc.value.stage == "certify"
+    assert exc.value.stage == "sequence_cyclic"
+    with pytest.raises(ConstructionFailed) as exc:
+        sequence_non3(5, 2, 3)
+    assert exc.value.stage == "finish_template"
     with pytest.raises(ConstructionFailed) as exc:
         sequence_order(6)
     assert exc.value.stage == "sequence_order"
