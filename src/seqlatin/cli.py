@@ -197,6 +197,8 @@ def cmd_latin(args) -> int:
 def _decode_entries(group, rows):
     if not isinstance(rows, list):
         raise GroupFormatError("terrace and sequencing must be lists")
+    if isinstance(group, (SdSpec, AbelianSpec)) and not all(isinstance(r, list) for r in rows):
+        raise GroupFormatError("each group element must be a list of integers")
     try:
         if isinstance(group, SdSpec):
             return [(int(r[0]), tuple(int(x) for x in r[1:])) for r in rows]

@@ -13,7 +13,7 @@ from typing import Sequence
 from .desk import desk_cap
 from .errors import DeskScaleExceeded, NotFound
 from .groups import cyclic
-from .rotational import RTerrace, make_r_terrace
+from .rotational import RTerrace
 
 
 def is_graceful(values: Sequence[int]) -> bool:
@@ -95,10 +95,14 @@ def graceful_with_first(k: int, x: int, desk_limit: int | None = None) -> tuple[
 
 
 def graceful_to_r_terrace(g: Sequence[int]) -> RTerrace:
-    """Lift g_1..g_k to the R-terrace (g_1..g_k, g_k+k, ..., g_1+k) of Z_{2k+1}."""
+    """Lift g_1..g_k to the R-terrace (g_1..g_k, g_k+k, ..., g_1+k) of Z_{2k+1}.
+
+    The lift of a graceful permutation is an R-terrace by theorem, so it
+    is not re-checked and carries no star index.
+    """
     if not is_graceful(g):
         raise ValueError(f"{tuple(g)} is not a graceful permutation")
     k = len(g)
     entries = [(v % (2 * k + 1),) for v in g]
     entries += [((g[i] + k) % (2 * k + 1),) for i in range(k - 1, -1, -1)]
-    return make_r_terrace(cyclic(2 * k + 1), entries)
+    return RTerrace(cyclic(2 * k + 1), tuple(entries))

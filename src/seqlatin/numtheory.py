@@ -12,28 +12,58 @@ divides the cofactor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-import sympy
-
-from .errors import NoSuchUnit, NotCoprime
+from .errors import DeskScaleExceeded, NoSuchUnit, NotCoprime
 
 Factorization = list[tuple[int, int]]
 
+# Trial division up to sqrt(10**12) tries at most ~333,000 divisors.
+# A plain constant, not a desk cap: SEQLATIN_DESK_LIMIT moves every desk
+# cap to one number, which would tie classify to the pipeline cap.
+FACTOR_LIMIT = 10**12
+
+
+def _trial_divisors() -> Iterator[int]:
+    """2, 3, then every 6j - 1 and 6j + 1: a superset of the primes > 3."""
+    yield 2
+    yield 3
+    for c in itertools.count(5, 6):
+        yield c
+        yield c + 2
+
 
 def factorize(n: int) -> Factorization:
-    """Prime factorization as an ascending list of (prime, exponent)."""
+    """Prime factorization as an ascending list of (prime, exponent).
+
+    Trial division up to sqrt(n); n above FACTOR_LIMIT raises
+    DeskScaleExceeded rather than run for an unbounded time.
+    """
     if n < 1:
         raise ValueError(f"factorize needs a positive integer, got {n}")
-    if n == 1:
-        return []
-    return sorted(sympy.factorint(n).items())
+    if n > FACTOR_LIMIT:
+        raise DeskScaleExceeded(f"{n} exceeds the factoring limit {FACTOR_LIMIT}")
+    out: Factorization = []
+    for p in _trial_divisors():
+        if p * p > n:
+            break
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        if a:
+            out.append((p, a))
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def is_prime(n: int) -> bool:
-    return sympy.isprime(n)
+    """Primality by factorize, so n above FACTOR_LIMIT raises DeskScaleExceeded."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def mult_order(x: int, m: int) -> int:

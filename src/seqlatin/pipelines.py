@@ -10,10 +10,9 @@ audited offline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import gcd
 from typing import Optional, Sequence
-
-from sympy import Poly, symbols
 
 from .desk import desk_cap
 from .errors import (
@@ -97,6 +96,21 @@ def _flatten(e):
     if len(e) == 2 and isinstance(e[1], tuple):
         return (e[0],) + e[1]
     return tuple(e)
+
+
+def _check_order(q: int, base: int, p: int = 1, k: int = 0) -> None:
+    """Refuse a direct pipeline whose order q * base * p^k exceeds the cap.
+
+    It runs before any other work, on arguments not yet validated.  p^k
+    is formed with k cut at the cap's bit length, past which it exceeds
+    the cap whenever |p| >= 2, so a huge k costs nothing.
+    """
+    cap = desk_cap(5000)
+    bits = cap.bit_length()
+    order = q * base * p ** min(max(k, 0), bits)
+    if order > cap:
+        shown = order if k <= bits else f"{q * base}*{p}^{k}"
+        raise DeskScaleExceeded(f"order {shown} exceeds pipeline cap {cap}")
 
 
 def _certify(group, arrangement, provenance) -> Optional[SequencingCertificate]:
@@ -203,6 +217,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
     two endpoint conditions exactly, so no per-candidate search is
     needed.  The first candidate that passes _certify is returned.
     """
+    _check_order(q, m)
     if not is_prime(q) or q % 2 == 0:
         raise ValueError(f"q must be an odd prime, got {q}")
     if m % 2 == 0 or m < 5:
@@ -273,9 +288,6 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
 # the non-diagonalisable automorphism on Z_p^k
 
 
-_X = symbols("x")
-
-
 @dataclass(frozen=True)
 class NondiagAut:
     """Order-q automorphism of Z_p^k together with its canonical data.
@@ -291,6 +303,26 @@ class NondiagAut:
     basis_change: tuple
 
 
+def _least_factor(p: int, q: int, d: int) -> tuple[int, ...]:
+    """Least monic degree-d divisor of 1 + x + ... + x^(q-1) over F_p.
+
+    Coefficients run from the leading 1 down to the constant term, and
+    candidates are tried in lexicographic order of them, each by long
+    division.
+    """
+    for low in product(range(p), repeat=d):
+        c = (1,) + low
+        rem = [1] * q
+        for i in range(q - d):
+            t = rem[i]
+            if t:
+                for j in range(1, d + 1):
+                    rem[i + j] = (rem[i + j] - t * c[j]) % p
+        if not any(rem[q - d :]):
+            return c
+    raise AssertionError(f"no monic degree-{d} factor of Phi_{q} over F_{p}")
+
+
 def build_nondiag_aut(p: int, k: int, q: int) -> NondiagAut:
     """Non-diagonalisable order-q automorphism of Z_p^k.
 
@@ -299,6 +331,11 @@ def build_nondiag_aut(p: int, k: int, q: int) -> NondiagAut:
     the identity, and returns alpha = N^(1/(lam-1) mod q) so that
     alpha^(lam-1) is exactly N.  Irreducibility of the factor with
     d >= 2 rules out eigenvalues in F_p, hence diagonalisability.
+
+    As p != q, (x^q - 1)/(x - 1) is squarefree over F_p and each of its
+    irreducible factors has degree d = ord_q(p), so a monic degree-d
+    divisor is exactly one of them, and the least of the at most p^d
+    candidates is the least factor.
     """
     if not is_prime(p) or p < 3:
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -311,12 +348,7 @@ def build_nondiag_aut(p: int, k: int, q: int) -> NondiagAut:
         )
     if d > k:
         raise ValueError(f"need k >= {d} = ord_{q}({p}), got k={k}")
-    _, facs = Poly([1] * q, _X, modulus=p).factor_list()
-    coeffs = sorted(
-        [int(c) % p for c in f.all_coeffs()]
-        for f, _ in facs
-        if f.degree() == d
-    )[0]
+    coeffs = _least_factor(p, q, d)
     lows = [coeffs[i] for i in range(d, 0, -1)]  # constant term first
     n = tuple(
         tuple(
@@ -508,6 +540,7 @@ def sequence_non3(
 ) -> SequencingCertificate:
     """Sequencing of Z_q x| (Z_p^k x B) for p != 3, odd B with 3 not | |B|."""
     b = b if b is not None else AbelianSpec(())
+    _check_order(q, b.order, p, k)
     if not is_prime(p) or p == 3 or p < 5:
         raise ValueError(f"p must be a prime other than 3, got {p}")
     if pow(p, k, q) != 1:
@@ -553,6 +586,7 @@ def sequence_theorem3(
     sees a width divisible by 3.
     """
     b = b if b is not None else AbelianSpec(())
+    _check_order(q, (9 if nine else 3) * b.order, p, 2)
     if not is_prime(p) or p == 3 or p < 5:
         raise ValueError(f"p must be a prime other than 3, got {p}")
     if (p * p) % q != 1:
@@ -621,7 +655,9 @@ def sequence_order(n: int, seed: int = 0, desk_limit: Optional[int] = None):
     Even orders take the Walecki terrace on Z_n; odd orders dispatch on
     the classification witness (cyclic preferred, then the product
     pipelines).  Returns TrivialOrder for n=1 and NoGroupBasedCLS when
-    only abelian groups of odd order exist.
+    only abelian groups of odd order exist.  desk_limit moves this
+    function's own order check; the pipeline it dispatches to keeps the
+    default cap (or SEQLATIN_DESK_LIMIT).
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")

@@ -1,6 +1,7 @@
 """Exit codes, JSON output shape, determinism, and verify round-trips."""
 
 import json
+import time
 
 import pytest
 
@@ -87,6 +88,25 @@ def test_usage_errors(capsys):
     assert run(capsys, ["sequence", "--order", "5001"])[0] == 2  # over desk cap
 
 
+def test_direct_pipelines_over_the_cap_exit_2(capsys):
+    # orders 42021 and 7575: refused like --order is, before any search
+    for argv in (
+        ["sequence", "--q", "3", "--m", "14007"],
+        ["sequence", "--p", "5", "--k", "2", "--q", "3", "--b", "101"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "exceeds pipeline cap 5000" in err
+
+
+def test_classify_huge_order_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["classify", str(10**111 + 57)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and "factoring limit" in err
+
+
 def test_negative_exit_for_missing_unit(capsys):
     code, _, err = run(capsys, ["sequence", "--q", "3", "--m", "5"])
     assert code == 1
@@ -150,6 +170,9 @@ def test_verify_bad_inputs(tmp_path, capsys):
         assert run(capsys, ["verify", str(bad)])[0] == 2, group
     bad.write_text(json.dumps({"group": {"abelian": [2]}, "terrace": 5, "sequencing": []}))
     assert run(capsys, ["verify", str(bad)])[0] == 2
+    for group in ({"abelian": [2]}, {"semidirect": {"s": 2, "base": [], "alpha": {"blocks": []}}}):
+        bad.write_text(json.dumps({"group": group, "terrace": [{}, [1]], "sequencing": [[1]]}))
+        assert run(capsys, ["verify", str(bad)])[0] == 2, group
 
 
 def test_verify_wrong_length_skips_the_group(tmp_path, capsys, monkeypatch):

@@ -3,10 +3,12 @@
 import math
 
 import pytest
+import sympy
 
-from seqlatin.errors import NoSuchUnit, NotCoprime
+from seqlatin.errors import DeskScaleExceeded, NoSuchUnit, NotCoprime
 from seqlatin.numtheory import (
     EVEN,
+    FACTOR_LIMIT,
     ODD_NONABELIAN,
     ODD_ONLY_ABELIAN,
     TRIVIAL,
@@ -14,6 +16,7 @@ from seqlatin.numtheory import (
     factorize,
     find_lambda,
     find_unit_of_order,
+    is_prime,
     is_primitive_root,
     mult_order,
     unit_of_order_exists,
@@ -31,6 +34,36 @@ def test_factorize():
 def test_factorize_reconstructs():
     for n in range(1, 500):
         assert math.prod(p**a for p, a in factorize(n)) == n
+
+
+def test_factorize_matches_sympy():
+    """sympy stays a test-only reference for the trial-division code."""
+    for n in range(1, 100001):
+        assert factorize(n) == sorted(sympy.factorint(n).items()), n
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_factorize_near_the_limit_matches_sympy():
+    for n in (
+        999999999989,  # the largest prime below 10**12
+        999999000001,
+        999983 * 999979,
+        2 * 499999999979,
+        3**25,
+        FACTOR_LIMIT,
+    ):
+        assert factorize(n) == sorted(sympy.factorint(n).items()), n
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_factorize_refuses_above_the_limit():
+    assert FACTOR_LIMIT == 10**12
+    for n in (FACTOR_LIMIT + 1, 10**111 + 57):
+        with pytest.raises(DeskScaleExceeded):
+            factorize(n)
+        with pytest.raises(DeskScaleExceeded):
+            is_prime(n)
+    assert not is_prime(0) and not is_prime(1) and not is_prime(-7)
 
 
 def test_mult_order():

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+import sympy
 
 import seqlatin.pipelines as pipelines
 from seqlatin.errors import (
@@ -115,6 +116,62 @@ def test_nondiag_aut_errors():
         build_nondiag_aut(5, 1, 3)  # needs k >= 2
     with pytest.raises(ValueError):
         build_nondiag_aut(4, 2, 3)
+
+
+def _grid_pairs(least_p):
+    """(p, q, d) with primes least_p <= p < 60, 3 <= q < 40, d = ord_q(p) >= 2, p^d <= 20000."""
+    out = []
+    for p in sympy.primerange(least_p, 60):
+        for q in sympy.primerange(3, 40):
+            d = sympy.n_order(p, q) if p != q else 0
+            if d >= 2 and p**d <= 20000:
+                out.append((p, q, d))
+    return out
+
+
+def _sympy_least_factor(p, q, d):
+    x = sympy.symbols("x")
+    _, facs = sympy.Poly([1] * q, x, modulus=p).factor_list()
+    return sorted(
+        [int(c) % p for c in f.all_coeffs()] for f, _ in facs if f.degree() == d
+    )[0]
+
+
+def test_least_factor_matches_sympy():
+    """The long-division search finds sympy's least factor on the whole grid."""
+    pairs = _grid_pairs(2)
+    assert len(pairs) == 37
+    for p, q, d in pairs:
+        assert list(pipelines._least_factor(p, q, d)) == _sympy_least_factor(p, q, d), (p, q)
+
+
+def test_nondiag_aut_companion_matches_sympy():
+    pairs = _grid_pairs(3)
+    assert len(pairs) == 29
+    for p, q, d in pairs:
+        coeffs = _sympy_least_factor(p, q, d)
+        lows = coeffs[:0:-1]  # constant term first
+        companion = tuple(
+            tuple((-lows[i]) % p if j == d - 1 else int(i == j + 1) for j in range(d))
+            for i in range(d)
+        )
+        assert build_nondiag_aut(p, d, q).companion == companion, (p, q)
+
+
+def test_direct_pipelines_refuse_orders_over_the_cap(monkeypatch):
+    def refuse(n):
+        raise AssertionError("tested primality before the order cap")
+
+    monkeypatch.setattr(pipelines, "is_prime", refuse)
+    with pytest.raises(DeskScaleExceeded):
+        sequence_cyclic(3, 14007)
+    with pytest.raises(DeskScaleExceeded):
+        sequence_non3(5, 2, 3, AbelianSpec((101,)))
+    with pytest.raises(DeskScaleExceeded):
+        sequence_non3(5, 10**9, 3)  # p^k is never formed
+    for nine in (False, True):  # orders 5175 and 15525
+        with pytest.raises(DeskScaleExceeded):
+            sequence_theorem3(5, 3, AbelianSpec((23,)), nine=nine)
 
 
 def test_pair_transport_examples():
