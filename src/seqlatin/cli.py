@@ -21,7 +21,7 @@ from .errors import (
     SeqLatinError,
 )
 from .graceful import graceful_with_first, walecki_graceful
-from .groups import AbelianSpec, SdSpec, group_from_descriptor
+from .groups import AbelianSpec, SdSpec, _int, group_from_descriptor
 from .latin import (
     completeness_report,
     is_directed_terrace,
@@ -199,14 +199,15 @@ def _decode_entries(group, rows):
         raise GroupFormatError("terrace and sequencing must be lists")
     if isinstance(group, (SdSpec, AbelianSpec)) and not all(isinstance(r, list) for r in rows):
         raise GroupFormatError("each group element must be a list of integers")
+    what = "group element coordinate"
     try:
         if isinstance(group, SdSpec):
-            return [(int(r[0]), tuple(int(x) for x in r[1:])) for r in rows]
+            return [(_int(r[0], what), tuple(_int(x, what) for x in r[1:])) for r in rows]
         if isinstance(group, AbelianSpec):
-            return [tuple(int(x) for x in r) for r in rows]
-        return [int(r[0]) if isinstance(r, list) else int(r) for r in rows]
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise GroupFormatError(f"malformed group element: {exc}") from None
+            return [tuple(_int(x, what) for x in r) for r in rows]
+        return [_int(r[0] if isinstance(r, list) else r, what) for r in rows]
+    except IndexError:
+        raise GroupFormatError("malformed group element: empty list") from None
 
 
 def cmd_verify(args) -> int:

@@ -66,10 +66,7 @@ def graceful_with_first(k: int, x: int, desk_limit: int | None = None) -> tuple[
                 return False
         return True
 
-    def extend() -> bool:
-        nonlocal remaining
-        if len(out) == k:
-            return True
+    def children():
         prev = out[-1]
         cands = [
             v
@@ -77,20 +74,25 @@ def graceful_with_first(k: int, x: int, desk_limit: int | None = None) -> tuple[
             if remaining >> v & 1 and not used_diffs[abs(v - prev)]
         ]
         cands.sort(key=lambda v: (-abs(v - prev), -v))
-        for v in cands:
-            d = abs(v - prev)
-            out.append(v)
-            used_diffs[d] = True
-            remaining &= ~(1 << v)
-            if feasible(remaining | (1 << v)) and extend():
-                return True
-            out.pop()
-            used_diffs[d] = False
-            remaining |= 1 << v
-        return False
+        return iter(cands)
 
-    if not extend():
-        raise NotFound(f"no graceful permutation of {{1..{k}}} starting at {x}")
+    # one candidate iterator per open node; an infeasible placement
+    # opens a node without candidates, so one place takes values back
+    stack = [children()]
+    while len(out) < k:
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            if not stack:
+                raise NotFound(f"no graceful permutation of {{1..{k}}} starting at {x}")
+            v = out.pop()
+            used_diffs[abs(v - out[-1])] = False
+            remaining |= 1 << v
+            continue
+        used_diffs[abs(v - out[-1])] = True
+        out.append(v)
+        remaining &= ~(1 << v)
+        stack.append(children() if feasible(remaining | (1 << v)) else iter(()))
     return tuple(out)
 
 

@@ -497,7 +497,7 @@ class TableGroup:
         self._rows = [list(r) for r in rows]
         for row in self._rows:
             for x in row:
-                if not isinstance(x, int) or not 0 <= x < n:
+                if type(x) is not int or not 0 <= x < n:
                     raise GroupFormatError(f"table entry {x!r} is not an index < {n}")
         self._identity = self._find_identity()
         if check:
@@ -710,10 +710,10 @@ def _field(body, key: str, what: str):
 
 
 def _int(x, what: str) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError, OverflowError):
-        raise GroupFormatError(f"{what} must be an integer, got {x!r}") from None
+    """x itself when it is a JSON integer (not a float, string or bool)."""
+    if type(x) is not int:
+        raise GroupFormatError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def _list(raw, what: str) -> list:

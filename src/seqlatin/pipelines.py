@@ -51,7 +51,6 @@ from .rotational import (
     fgm_extend,
     fgm_extend_many,
     search_r_terrace_retry,
-    transform,
 )
 from .template import assemble, theorem4_assign
 
@@ -520,13 +519,11 @@ def _pk_base(p: int, k: int, seed: int) -> tuple[RTerrace, str]:
     seeds = range(seed, seed + 8)
     if p in (5, 7):
         cur = search_r_terrace_retry(
-            AbelianSpec((p, p)),
-            {"star": True, "independent_ends": True},
-            seeds=seeds,
+            AbelianSpec((p, p)), star=True, independent_ends=True, seeds=seeds
         )
         done, src = 2, "searched square"
     else:
-        cur = search_r_terrace_retry(AbelianSpec((p,)), {"star": True}, seeds=seeds)
+        cur = search_r_terrace_retry(AbelianSpec((p,)), star=True, seeds=seeds)
         done, src = 1, "searched line"
     while done < k:
         cur = fgm_extend(cur, p)
@@ -599,19 +596,18 @@ def sequence_theorem3(
         kg = (3 * p - 1) // 2
         gperm = walecki_graceful(kg)
         lift = graceful_to_r_terrace(gperm)
-        std = transform(lift, "rotate", 2 * p - 1)  # the star of the lift
+        j = 2 * p - 1  # the star of the lift
+        std = RTerrace(lift.group, lift.entries[j:] + lift.entries[:j], 0)
         if not std.is_standard:
             raise ConstructionFailed("sequence_theorem3", "Walecki lift star not at index 2p-1")
         tmod = 3
         chain = fgm_extend(std, p)
-        prov_base = {"walecki_k": kg, "star_index": 2 * p - 1}
+        prov_base = {"walecki_k": kg, "star_index": j}
     else:
         base = search_r_terrace_retry(
             cyclic(9 * p),
-            {
-                "star": True,
-                "element_order_constraints": [(0, p), (1, p), (-1, p)],
-            },
+            star=True,
+            element_orders=[(0, p), (1, p), (-1, p)],
             seeds=range(seed, seed + 8),
         )
         tmod = 9
@@ -649,19 +645,17 @@ def sequence_theorem3(
 # the spectrum driver
 
 
-def sequence_order(n: int, seed: int = 0, desk_limit: Optional[int] = None):
+def sequence_order(n: int, seed: int = 0):
     """Certificate for some group of order n, or the negative verdict.
 
     Even orders take the Walecki terrace on Z_n; odd orders dispatch on
     the classification witness (cyclic preferred, then the product
     pipelines).  Returns TrivialOrder for n=1 and NoGroupBasedCLS when
-    only abelian groups of odd order exist.  desk_limit moves this
-    function's own order check; the pipeline it dispatches to keeps the
-    default cap (or SEQLATIN_DESK_LIMIT).
+    only abelian groups of odd order exist.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    cap = desk_cap(5000, desk_limit)
+    cap = desk_cap(5000)
     if n > cap:
         raise DeskScaleExceeded(f"order {n} exceeds pipeline cap {cap}")
     if n == 1:

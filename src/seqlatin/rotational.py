@@ -169,86 +169,17 @@ def _fgm_assemble(base: RTerrace, w: int, xs, fs) -> tuple[AbelianSpec, list[AbE
     return product, [u + (z,) for u, z in zip(first, second)]
 
 
-def _fgm_second_stream_search(base: RTerrace, w: int) -> Optional[RTerrace]:
-    """Backtrack over the free second-coordinate slots, checker-gated.
-
-    With a base of order 3 the head entry a_1 and the entry a_{m-2}
-    coincide, and no assignment of pair-shaped rows verifies (exhausted
-    by sweep).  The first-coordinate streams and the zero prefix/suffix
-    carry the construction, so keep those fixed and fill the remaining
-    second coordinates by backtracking against entry and difference
-    uniqueness directly.
-    """
-    first, m, k = _fgm_streams(base, w)
-    product = AbelianSpec(base.group.factors + (w,))
-    total = len(first)
-    second = [0] * total  # slots m-2 .. total-2 are free
-    free_lo, free_hi = m - 2, total - 1
-    used_entries = set()
-    used_diffs: set[AbElem] = set()
-
-    def entry(i: int) -> AbElem:
-        return first[i] + (second[i],)
-
-    for i in range(free_lo):
-        used_entries.add(entry(i))
-        if i:
-            used_diffs.add(product.sub(entry(i), entry(i - 1)))
-
-    def place(i: int) -> bool:
-        if i == free_hi:
-            e = entry(i)  # fixed final (a_last, 0)
-            if e in used_entries:
-                return False
-            d_in = product.sub(e, entry(i - 1))
-            d_wrap = product.sub(entry(0), e)
-            if (
-                d_in == product.identity
-                or d_wrap == product.identity
-                or d_in in used_diffs
-                or d_wrap in used_diffs
-                or d_in == d_wrap
-            ):
-                return False
-            # uniqueness of all entries and differences already makes
-            # this an R-terrace; standardization still needs a star
-            return any(
-                entry(j) == product.add(entry(j - 1), entry((j + 1) % total))
-                for j in range(total)
-            )
-        for z in range(w):
-            second[i] = z
-            e = entry(i)
-            if e == product.identity or e in used_entries:
-                continue
-            d = product.sub(e, entry(i - 1))
-            if d == product.identity or d in used_diffs:
-                continue
-            used_entries.add(e)
-            used_diffs.add(d)
-            if place(i + 1):
-                return True
-            used_entries.remove(e)
-            used_diffs.remove(d)
-        second[i] = 0
-        return False
-
-    if not place(free_lo):
-        return None
-    entries = [entry(i) for i in range(total)]
-    res = check_r_terrace(product, entries)
-    if res.is_r and res.star_indices:
-        j = res.star_indices[0]  # standard form: rotate the first star to 0
-        return RTerrace(product, tuple(entries[j:] + entries[:j]), 0)
-    return None
-
-
 def fgm_extend(base: RTerrace, w: int) -> RTerrace:
     """Standard R*-terrace of A x Z_w from a standard one of A (3 does not divide w)."""
     if w < 5 or w % 2 == 0 or w % 3 == 0:
         raise GroupFormatError(f"extension factor must be odd, >= 5, coprime to 3, got {w}")
     if base.group.order % 2 == 0:
         raise GroupFormatError("base group must have odd order")
+    if base.group.order == 3:
+        # the head entry a_1 and the entry a_{m-2} coincide, and no
+        # assignment of pair-shaped rows verifies (exhausted by sweep);
+        # search_r_terrace(A x Z_w, star=True) finds these terraces
+        raise GroupFormatError("base group of order 3 has no pair-shaped extension")
     if not base.is_standard:
         raise GroupFormatError("base terrace must be standard (star at position 0)")
     k = (w - 1) // 2
@@ -259,12 +190,6 @@ def fgm_extend(base: RTerrace, w: int) -> RTerrace:
     if res.is_r and res.star_indices:
         j = res.star_indices[0]  # standard form: rotate the first star to 0
         return RTerrace(product, tuple(entries[j:] + entries[:j]), 0)
-    # order-3 bases break the pair-shaped rows outright (exhausted by
-    # sweep): fall back to filling the second coordinates by search
-    if base.group.order == 3:
-        repaired = _fgm_second_stream_search(base, w)
-        if repaired is not None:
-            return repaired
     raise ConstructionFailed(
         "fgm_extend",
         f"no valid row assignment for |A|={base.group.order}, w={w}",
@@ -287,23 +212,26 @@ def fgm_extend_many(base: RTerrace, b: AbelianSpec) -> RTerrace:
 
 def search_r_terrace(
     group: AbelianSpec,
-    constraints: Optional[dict] = None,
+    *,
+    star: bool = False,
+    independent_ends: bool = False,
+    element_orders: Sequence[tuple[int, int]] = (),
     seed: int = 0,
     max_nodes: int = 200_000,
     desk_limit: Optional[int] = None,
 ) -> RTerrace:
     """Randomized backtracking for a directed R-terrace under constraints.
 
-    Supported constraint keys:
-      first, last            -- pin those entries
-      wrap_difference        -- require a_0 - a_last equal to this
-      star                   -- True: require standard form (star at 0)
-      independent_ends       -- True: <a_0> and <a_last> meet only in 0
-      element_order_constraints -- list of (index, order); negative
-                                   indices count from the end
+    star              -- require standard form (star at 0)
+    independent_ends  -- <a_0> and <a_last> meet only in 0
+    element_orders    -- (index, order) pairs; negative indices count
+                         from the end
 
     One randomized run with the given seed; raises NotFound once the
     node budget is spent, and the caller may retry with another seed.
+    The open nodes live on an explicit stack, one shuffled candidate
+    iterator each, so neither the result nor the speed depends on the
+    caller's stack depth.
     """
     cap = desk_cap(250, desk_limit)
     m = group.order
@@ -313,34 +241,13 @@ def search_r_terrace(
         raise GroupFormatError("R-terrace search needs odd group order")
     if m == 1:
         raise GroupFormatError("no non-identity elements to arrange")
-    c = dict(constraints or {})
     n = m - 1
     rng = random.Random(seed)
     zero = group.identity
-
-    first = tuple(c["first"]) if "first" in c else None
-    last = tuple(c["last"]) if "last" in c else None
-    wrap = tuple(c["wrap_difference"]) if "wrap_difference" in c else None
-    want_star = bool(c.get("star", False))
-    want_indep = bool(c.get("independent_ends", False))
-    order_at: dict[int, int] = {}
-    for idx, order in c.get("element_order_constraints", ()):
-        order_at[idx % n] = order
+    order_at = {idx % n: order for idx, order in element_orders}
     order_positions: dict[int, list[int]] = {}
     for idx, o in sorted(order_at.items()):
         order_positions.setdefault(o, []).append(idx)
-
-    def admissible(pos: int, x: AbElem) -> bool:
-        if x == zero:
-            return False
-        if pos == 0 and first is not None and x != first:
-            return False
-        if pos == n - 1 and last is not None and x != last:
-            return False
-        if pos in order_at and group.element_order(x) != order_at[pos]:
-            return False
-        return True
-
     elements = [e for e in group.elements() if e != zero]
     order_pool = {
         o: frozenset(x for x in elements if group.element_order(x) == o)
@@ -351,107 +258,98 @@ def search_r_terrace(
     used_diffs: set[AbElem] = set()
     nodes = 0
 
-    def forced_last():
-        """Resolve the closing constraints into the final entry early.
+    def fits(pos: int, x: AbElem) -> bool:
+        return pos not in order_at or x in order_pool[order_at[pos]]
 
-        Returns (known, value): value None under `known` means the
-        constraints contradict each other on this branch.
-        """
-        cands = set()
-        if last is not None:
-            cands.add(last)
-        if wrap is not None and entries:
-            cands.add(group.sub(entries[0], wrap))
-        if want_star and n > 2 and len(entries) >= 2:
-            cands.add(group.sub(entries[0], entries[1]))
-        if not cands:
-            return False, None
-        if len(cands) > 1:
-            return True, None
-        return True, next(iter(cands))
-
-    def extend() -> bool:
+    def open_node():
+        """Count the node at len(entries); return its shuffled candidates
+        and the final entry it reserves (a pruned node has no candidates)."""
         nonlocal nodes
-        pos = len(entries)
-        if pos == n:
-            return True
         nodes += 1
         if nodes > max_nodes:
             raise NotFound(
                 f"no R-terrace of order {m} found within {max_nodes} nodes (seed {seed})"
             )
+        pos = len(entries)
         for o, idxs in order_positions.items():
             needed = len(idxs) - bisect.bisect_left(idxs, pos)
             if needed and sum(1 for x in order_pool[o] if x not in used) < needed:
-                return False
-        known, fl = forced_last()
-        rw = None
-        if known:
-            # the final entry and the wrap difference are both spoken
-            # for: reserve them while filling the middle
-            if fl is None or fl in used or not admissible(n - 1, fl):
-                return False
-            if entries:
-                rw = group.sub(entries[0], fl)
-                if rw == zero:
-                    return False
-                if want_indep and not group.independent(entries[0], fl):
-                    return False
-        if pos == n - 1:
-            if known:
-                candidates = [fl]
-            else:
-                candidates = [x for x in elements if x not in used and admissible(pos, x)]
+                return iter(()), None
+        last = None
+        if star and n > 2 and pos >= 2:
+            # standard form a_0 = a_last + a_1 fixes the final entry, and
+            # the wrap difference a_0 - a_last is a_1: reserve both while
+            # filling the middle
+            last = group.sub(entries[0], entries[1])
+            if last in used or not fits(n - 1, last):
+                return iter(()), None
+            if independent_ends and not group.independent(entries[0], last):
+                return iter(()), None
+        if pos == n - 1 and last is not None:
+            candidates = [last]
         else:
             candidates = [
-                x
-                for x in elements
-                if x not in used and admissible(pos, x) and not (known and x == fl)
+                x for x in elements if x not in used and x != last and fits(pos, x)
             ]
         rng.shuffle(candidates)
-        for x in candidates:
-            if pos > 0:
-                d = group.sub(x, entries[-1])
-                if d == zero or d in used_diffs:
-                    continue
-                if known and pos < n - 1 and d == rw:
-                    continue
-                if pos == n - 1:
-                    wd = group.sub(entries[0], x)
-                    if wd == zero or wd in used_diffs or wd == d:
-                        continue
-                    if wrap is not None and wd != wrap:
-                        continue
-                    second = entries[1] if n > 2 else x
-                    if want_star and entries[0] != group.add(x, second):
-                        continue
-                    if want_indep and not group.independent(entries[0], x):
-                        continue
-            else:
-                d = None
-            entries.append(x)
-            used.add(x)
-            if d is not None:
-                used_diffs.add(d)
-            if extend():
-                return True
-            entries.pop()
-            used.remove(x)
-            if d is not None:
-                used_diffs.remove(d)
-        return False
+        return iter(candidates), last
 
-    if extend():
-        res = check_r_terrace(group, entries)
-        assert res.is_r
-        star = res.star_indices[0] if res.star_indices else None
-        return RTerrace(group, tuple(entries), star)
-    raise NotFound(f"search space exhausted for order {m} under {sorted(c)}")
+    stack = [open_node()]
+    while True:
+        candidates, last = stack[-1]
+        pos = len(entries)
+        d = None
+        for x in candidates:
+            if pos == 0:
+                break
+            d = group.sub(x, entries[-1])
+            if d in used_diffs:
+                continue
+            if last is not None and pos < n - 1 and d == entries[1]:
+                continue
+            if pos == n - 1:
+                wd = group.sub(entries[0], x)
+                if wd in used_diffs or wd == d:
+                    continue
+                if star and entries[0] != group.add(x, entries[1] if n > 2 else x):
+                    continue
+                if independent_ends and not group.independent(entries[0], x):
+                    continue
+            break
+        else:
+            # this node is spent: take back the entry that opened it
+            stack.pop()
+            if not stack:
+                named = [
+                    name
+                    for name, value in (
+                        ("element_orders", element_orders),
+                        ("independent_ends", independent_ends),
+                        ("star", star),
+                    )
+                    if value
+                ]
+                raise NotFound(f"search space exhausted for order {m} under {named}")
+            x = entries.pop()
+            used.remove(x)
+            if entries:
+                used_diffs.remove(group.sub(x, entries[-1]))
+            continue
+        entries.append(x)
+        used.add(x)
+        if d is not None:
+            used_diffs.add(d)
+        if len(entries) == n:
+            return RTerrace(group, tuple(entries), 0 if star else None)
+        stack.append(open_node())
 
 
 def search_r_terrace_retry(
     group: AbelianSpec,
-    constraints: Optional[dict] = None,
+    *,
+    star: bool = False,
+    independent_ends: bool = False,
+    element_orders: Sequence[tuple[int, int]] = (),
     seeds: Sequence[int] = range(8),
     max_nodes: int = 200_000,
     desk_limit: Optional[int] = None,
@@ -460,7 +358,15 @@ def search_r_terrace_retry(
     err: Optional[NotFound] = None
     for s in seeds:
         try:
-            return search_r_terrace(group, constraints, seed=s, max_nodes=max_nodes, desk_limit=desk_limit)
+            return search_r_terrace(
+                group,
+                star=star,
+                independent_ends=independent_ends,
+                element_orders=element_orders,
+                seed=s,
+                max_nodes=max_nodes,
+                desk_limit=desk_limit,
+            )
         except NotFound as e:
             err = e
     raise err if err is not None else NotFound("no seeds supplied")

@@ -175,6 +175,20 @@ def test_verify_bad_inputs(tmp_path, capsys):
         assert run(capsys, ["verify", str(bad)])[0] == 2, group
 
 
+def test_verify_accepts_only_integer_coordinates(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    run(capsys, ["sequence", "--order", "21", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    cert = doc["certificate"]
+    assert run(capsys, ["verify", str(path)])[0] == 0
+    floats = dict(cert, terrace=[[x + 0.9 for x in e] for e in cert["terrace"]])
+    strings = dict(cert, sequencing=[[str(x) for x in e] for e in cert["sequencing"]])
+    bools = dict(cert, terrace=[[bool(x) for x in e] for e in cert["terrace"]])
+    for bad in (floats, strings, bools, dict(floats, sequencing=strings["sequencing"])):
+        path.write_text(json.dumps(dict(doc, certificate=bad)))
+        assert run(capsys, ["verify", str(path)])[0] == 2
+
+
 def test_verify_wrong_length_skips_the_group(tmp_path, capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("enumerated the declared group")

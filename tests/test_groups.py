@@ -424,3 +424,23 @@ def test_descriptor_rejects_junk():
         group_from_descriptor([1, 2, 3])
     with pytest.raises(GroupFormatError):
         group_from_descriptor({"abelian": [3], "table": {"n": 1}})
+
+
+def unit_mod_7(unit):
+    return {"blocks": [{"kind": "scalar", "modulus": 7, "unit": unit}]}
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"abelian": [7.9]},
+        {"abelian": ["7"]},
+        {"semidirect": {"s": 2.0, "base": [7], "alpha": unit_mod_7(6)}},
+        {"semidirect": {"s": 2, "base": [7], "alpha": unit_mod_7(True)}},
+        {"table": {"mul": [[True, False], [False, True]]}},
+        {"table": {"mul": [[0, 1], [1, 0]], "n": "2"}},
+    ],
+)
+def test_descriptor_accepts_only_json_integers(desc):
+    with pytest.raises(GroupFormatError):
+        group_from_descriptor(desc)

@@ -303,10 +303,11 @@ def test_order_dispatch():
     assert t3.provenance["pipeline"] == "theorem3"
 
 
-def test_order_desk_cap():
+def test_order_desk_cap(monkeypatch):
     with pytest.raises(DeskScaleExceeded):
         sequence_order(5001)
-    assert isinstance(sequence_order(5001, desk_limit=6000), NoGroupBasedCLS)
+    monkeypatch.setenv("SEQLATIN_DESK_LIMIT", "6000")
+    assert isinstance(sequence_order(5001), NoGroupBasedCLS)
     with pytest.raises(ValueError):
         sequence_order(0)
 

@@ -18,6 +18,7 @@ from seqlatin.rotational import (
     fgm_extend_many,
     make_r_terrace,
     search_r_terrace,
+    search_r_terrace_retry,
     standardize,
     transform,
 )
@@ -112,13 +113,11 @@ def test_fgm_extend_z7_w5():
     assert out.is_standard
 
 
-def test_fgm_extend_z3_w5():
+def test_fgm_rejects_order_3_base():
     base = make_r_terrace(cyclic(3), ((1,), (2,)))
-    out = fgm_extend(base, 5)
-    assert out.group.factors == (3, 5)
-    assert len(out.entries) == 14
-    assert check_r_terrace(out.group, out.entries).is_r
-    assert out.is_standard
+    assert base.is_standard
+    with pytest.raises(GroupFormatError):
+        fgm_extend(base, 5)
 
 
 def test_fgm_rejects_bad_w():
@@ -185,45 +184,52 @@ def test_fgm_extend_many_rejects_bad_b():
 # search
 
 
-def test_search_z3_first():
-    t = search_r_terrace(cyclic(3), {"first": (1,)})
-    assert t.entries == ((1,), (2,))
-
-
 def test_search_z9_star():
-    t = search_r_terrace(cyclic(9), {"star": True})
+    t = search_r_terrace(cyclic(9), star=True)
     assert check_r_terrace(t.group, t.entries).is_r
+    assert t.is_standard
+    assert t.star_index == 0
+
+
+def test_search_without_star_has_no_star_index():
+    t = search_r_terrace(cyclic(9))
+    assert check_r_terrace(t.group, t.entries).is_r
+    assert t.star_index is None
+
+
+@pytest.mark.parametrize("w", (5, 7, 11, 13))
+def test_search_z3_product_star(w):
+    # the R*-terraces of Z_3 x Z_w that fgm_extend cannot build from Z_3
+    g = AbelianSpec((3, w))
+    t = search_r_terrace(g, star=True)
+    assert check_r_terrace(g, t.entries).is_r
     assert t.is_standard
 
 
 def test_search_z5sq_star_independent():
     g = AbelianSpec((5, 5))
-    t = search_r_terrace(g, {"star": True, "independent_ends": True})
+    t = search_r_terrace(g, star=True, independent_ends=True)
     assert check_r_terrace(t.group, t.entries).is_r
     assert t.is_standard
     assert g.independent(t.entries[0], t.entries[-1])
 
 
 def test_search_seeded_reproducible():
-    a = search_r_terrace(cyclic(9), {"star": True}, seed=3)
-    b = search_r_terrace(cyclic(9), {"star": True}, seed=3)
+    a = search_r_terrace(cyclic(9), star=True, seed=3)
+    b = search_r_terrace(cyclic(9), star=True, seed=3)
     assert a.entries == b.entries
 
 
-def test_search_wrap_difference():
-    t = search_r_terrace(cyclic(9), {"wrap_difference": (4,)})
-    assert t.group.sub(t.entries[0], t.entries[-1]) == (4,)
-
-
-def test_search_first_last():
-    t = search_r_terrace(cyclic(9), {"first": (2,), "last": (7,)})
-    assert t.entries[0] == (2,)
-    assert t.entries[-1] == (7,)
+def test_search_rejects_unknown_constraint():
+    with pytest.raises(TypeError):
+        search_r_terrace(cyclic(9), first=(2,))
+    with pytest.raises(TypeError):
+        search_r_terrace_retry(cyclic(9), wrap_difference=(4,))
 
 
 def test_search_element_orders():
     g = AbelianSpec((45,))
-    t = search_r_terrace(g, {"element_order_constraints": [(0, 5), (1, 5), (-1, 5)]})
+    t = search_r_terrace(g, element_orders=[(0, 5), (1, 5), (-1, 5)])
     assert g.element_order(t.entries[0]) == 5
     assert g.element_order(t.entries[1]) == 5
     assert g.element_order(t.entries[-1]) == 5
@@ -231,8 +237,13 @@ def test_search_element_orders():
 
 def test_search_z5_star_fails():
     # Z_5 has no R*-terrace at all
-    with pytest.raises((NotFound, Exception)):
-        search_r_terrace(cyclic(5), {"star": True}, max_nodes=10_000)
+    with pytest.raises(NotFound, match=r"exhausted for order 5 under \['star'\]"):
+        search_r_terrace(cyclic(5), star=True, max_nodes=10_000)
+
+
+def test_search_node_budget():
+    with pytest.raises(NotFound, match="within 3 nodes"):
+        search_r_terrace(cyclic(45), star=True, max_nodes=3)
 
 
 def test_search_desk_cap():
