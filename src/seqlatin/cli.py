@@ -19,14 +19,11 @@ from .errors import (
     DeskScaleExceeded,
     GroupFormatError,
     SeqLatinError,
+    ShapeMismatch,
 )
 from .graceful import graceful_with_first, walecki_graceful
-from .groups import AbelianSpec, SdSpec, _int, group_from_descriptor
-from .latin import (
-    completeness_report,
-    is_directed_terrace,
-    terrace_to_complete_square,
-)
+from .groups import AbelianSpec, SdSpec, _int, compile_index, group_from_descriptor
+from .latin import completeness_report, is_directed_terrace, sequencing_square
 from .numtheory import classify_order
 from .oracle import exhaustive_sequencings
 from .pipelines import (
@@ -177,7 +174,7 @@ def cmd_latin(args) -> int:
         return 1
     else:
         cert = result
-        square = terrace_to_complete_square(cert.group, cert.terrace)
+        square = sequencing_square(cert.group, cert.quotients)
         grid = [list(row) for row in square.grid]
         n = square.n
     fmt = args.format
@@ -238,10 +235,13 @@ def cmd_verify(args) -> int:
         ok, quots = is_directed_terrace(group, terrace)
     else:
         ok, quots = False, []
-    seq_ok = ok and list(quots) == claimed
+    try:
+        seq_ok = ok and compile_index(group).indices(claimed) == quots
+    except ShapeMismatch:
+        seq_ok = False
     checks = {"terrace": ok, "sequencing": seq_ok}
     if ok and group.order <= VERIFY_SQUARE_LIMIT:
-        square = terrace_to_complete_square(group, terrace)
+        square = sequencing_square(group, quots)
         checks["complete_square"] = completeness_report(square).is_complete
     valid = all(checks.values())
     out = {

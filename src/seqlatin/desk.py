@@ -1,8 +1,8 @@
 """Desk-scale caps: small enough to search honestly, big enough to matter.
 
-Every bounded search in the package takes a `desk_limit` parameter; when
-it is None the cap comes from the SEQLATIN_DESK_LIMIT environment
-variable if set, else from the operation's documented default.
+Every bounded search and pipeline in the package reads its cap here:
+the SEQLATIN_DESK_LIMIT environment variable if set, else the
+operation's documented default.  The variable moves every cap at once.
 """
 
 import os
@@ -10,9 +10,7 @@ import os
 ENV_VAR = "SEQLATIN_DESK_LIMIT"
 
 
-def desk_cap(default: int, override: int | None = None) -> int:
-    if override is not None:
-        return override
+def desk_cap(default: int) -> int:
     env = os.environ.get(ENV_VAR)
     if env is not None:
         return int(env)

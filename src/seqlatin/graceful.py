@@ -38,7 +38,7 @@ def walecki_graceful(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def graceful_with_first(k: int, x: int, desk_limit: int | None = None) -> tuple[int, ...]:
+def graceful_with_first(k: int, x: int) -> tuple[int, ...]:
     """A graceful permutation starting at x, by pruned backtracking.
 
     Large differences are the scarce resource: candidates are tried in
@@ -48,7 +48,7 @@ def graceful_with_first(k: int, x: int, desk_limit: int | None = None) -> tuple[
     (2,3,1) for k=3 and (1,5,2,4,3) for k=5.  Existence for every
     1 <= x <= k is a known fact; the search asserts it at desk scale.
     """
-    cap = desk_cap(40, desk_limit)
+    cap = desk_cap(40)
     if k > cap:
         raise DeskScaleExceeded(f"k={k} exceeds graceful search cap {cap}")
     if not 1 <= x <= k:

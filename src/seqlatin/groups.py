@@ -7,7 +7,8 @@ Three concrete group representations share one informal protocol:
     .elements()     iterator over all elements in a fixed canonical order
     .mul(a, b)      group product
     .inv(a)         group inverse
-    .quot(a, b)     inv(a) * b, the "difference" used by terrace checks
+    .quot(a, b)     inv(a) * b on elements; the terrace gate reads the
+                    encoded quot on indices, which the tests hold to this
 
 * AbelianSpec   -- direct product of cyclic groups, elements are int tuples
 * SdSpec        -- semidirect product of Z_s acting on an AbelianSpec
@@ -19,8 +20,9 @@ factor, always reduced mod the factor.  Semidirect elements are pairs
 the indices 0..n-1 into the table itself.
 
 compile_index(group) gives the one integer encoding of any of the three:
-an element is its position in elements(), and row(g) lists the indices
-of g*h over every h.  Squares and the exhaustive oracle work on it.
+an element is its position in elements(), row(g) lists the indices of
+g*h over every h, and quot(i, j) is the index of inv(g_i)*g_j.  The
+terrace gate, squares and the exhaustive oracle work on it.
 
 The JSON descriptor for a group is one of
 
@@ -38,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     GroupFormatError,
@@ -227,15 +229,6 @@ class AbelianSpec:
         for x, m in zip(a, self.factors):
             idx = idx * m + (x % m)
         return idx
-
-    def element_by_index(self, idx: int) -> AbElem:
-        if not 0 <= idx < self.order:
-            raise ShapeMismatch(f"index {idx} out of range for order {self.order}")
-        coords = []
-        for m in reversed(self.factors):
-            coords.append(idx % m)
-            idx //= m
-        return tuple(reversed(coords))
 
     def element_order(self, a: Sequence[int]) -> int:
         self._check(a)
@@ -595,17 +588,63 @@ class AbelianIndex:
     coordinates, and moves the runs as the leading coordinates' own row
     says, so a row is a concatenation of slices of doubled runs; no cell
     is computed on its own.  `span` (default the order) bounds the offsets
-    row() accepts: offset + order <= span.
+    row() accepts: offset + order <= span.  quot works on the same split:
+    the last coordinate by arithmetic, the rest by the lead.
     """
 
     def __init__(self, spec: AbelianSpec, span: int = 0):
         self.index = spec.index_of
+        self._spec = spec
+        self._span = span or spec.order
         *head, self._last = spec.factors or (1,)
         self._lead = AbelianIndex(AbelianSpec(tuple(head))) if head else None
+
+    @cached_property
+    def _runs(self) -> list[list[int]]:
         last = self._last
-        self._runs = [
-            list(range(lo, lo + last)) * 2 for lo in range(0, span or spec.order, last)
-        ]
+        return [list(range(lo, lo + last)) * 2 for lo in range(0, self._span, last)]
+
+    def indices(self, elems) -> Optional[list[int]]:
+        """index(e) for every e, or None when one is not an element.
+
+        The strict map for outside input: a coordinate outside 0..m-1 is
+        not an element (index_of would reduce it mod m), and an element
+        of the wrong length raises ShapeMismatch.
+        """
+        elems = list(elems)
+        factors = self._spec.factors
+        k = len(factors)
+        if list(map(len, elems)).count(k) != len(elems):
+            raise ShapeMismatch(f"element of the wrong length in group with {k} factors")
+        cols = list(zip(*elems))
+        if not cols:  # the trivial group, or no elements
+            return [0] * len(elems)
+        for col, m in zip(cols, factors):
+            if min(col) < 0 or max(col) >= m:
+                return None
+        idx = list(cols[0])
+        for col, m in zip(cols[1:], factors[1:]):
+            idx = [i * m + x for i, x in zip(idx, col)]
+        return idx
+
+    def quot(self, i: int, j: int) -> int:
+        """index(g_j - g_i): digitwise subtraction."""
+        last = self._last
+        if self._lead is None:
+            return (j - i) % last
+        return self._lead.quot(i // last, j // last) * last + (j - i) % last
+
+    def columns(self, idx) -> list[list[int]]:
+        """Coordinate k of the element at each index, for every factor k."""
+        factors = self._spec.factors
+        cols = []
+        for m in reversed(factors[1:]):
+            cols.append([i % m for i in idx])
+            idx = [i // m for i in idx]
+        return [list(idx), *reversed(cols)] if factors else []
+
+    def decode(self, i: int) -> AbElem:
+        return tuple(col[0] for col in self.columns([i]))
 
     def row(self, g: int, offset: int = 0) -> list[int]:
         """index(g + h) + offset for every h, in elements() order."""
@@ -624,31 +663,71 @@ class SdIndex:
     """Encoding of an SdSpec: (u, v) sits at u * |A| + index(v).
 
     Since (u, v) * (x, y) = (u + x, alpha^x(v) + y), the row of (u, v) is,
-    for each x, the base row of alpha^x(v) offset by ((u + x) mod s) * |A|.
-    Besides the base's runs, the only table kept is index(alpha^x(v)) for
-    every x and v: s * |A| ints, the group's order.
+    for each x, the base row of alpha^x(v) offset by ((u + x) mod s) * |A|,
+    and the quotient inv(u, v) * (x, y) is (d, y - alpha^d(v)) with
+    d = x - u.  Besides the base's runs, the one table kept for rows and
+    quotients is index(alpha^x(v)) for every x and v: s * |A| ints, the
+    group's order.
     """
 
     def __init__(self, group: SdSpec):
         self._s, self._na = group.s, group.base.order
+        self._alpha = group.alpha
         self._base = AbelianIndex(group.base, group.order)
+
+    @cached_property
+    def _twists(self) -> list[list[int]]:
         # index(alpha(v)) for every v: alpha acts blockwise, and blocks
         # cover the coordinates in order, so index(alpha(v)) is the
         # mixed-radix value of the blocks' images, each indexed in its block
         once = [0]
-        for b in group.alpha.blocks:
-            m = b.modulus if isinstance(b, ScalarBlock) else b.p
-            sub = AbelianSpec((m,) * b.width)
-            images = [sub.index_of(b.apply_power(1, v)) for v in sub.elements()]
+        for b in self._alpha.blocks:
+            if isinstance(b, ScalarBlock):
+                images = [b.unit * x % b.modulus for x in range(b.modulus)]
+            else:
+                sub = AbelianSpec((b.p,) * b.width)
+                images = [sub.index_of(b.apply_power(1, v)) for v in sub.elements()]
             once = [p * len(images) + t for p in once for t in images]
         twists = [list(range(self._na))]
         for _ in range(1, self._s):
             twists.append([once[i] for i in twists[-1]])
-        self._twists = twists
+        return twists
 
     def index(self, e: SdElem) -> int:
         u, v = e
         return u * self._na + self._base.index(v)
+
+    def indices(self, elems) -> Optional[list[int]]:
+        """Strict index of every (u, v), or None when one is not an element.
+
+        u must lie in 0..s-1 and v in the base as AbelianIndex.indices
+        reads it.
+        """
+        elems = list(elems)
+        if not elems:
+            return []
+        if list(map(len, elems)).count(2) != len(elems):
+            raise ShapeMismatch("a semidirect element is a pair (u, v)")
+        us, vs = zip(*elems)
+        vs = self._base.indices(vs)
+        if vs is None or min(us) < 0 or max(us) >= self._s:
+            return None
+        na = self._na
+        return [u * na + i for u, i in zip(us, vs)]
+
+    def quot(self, i: int, j: int) -> int:
+        """index(inv(g_i) * g_j) = d * |A| + index(y - alpha^d(v))."""
+        na = self._na
+        d = (j // na - i // na) % self._s
+        return d * na + self._base.quot(self._twists[d][i % na], j % na)
+
+    def columns(self, idx) -> list[list[int]]:
+        """u, then each base coordinate, of the element at each index."""
+        na = self._na
+        return [[i // na for i in idx], *self._base.columns([i % na for i in idx])]
+
+    def decode(self, i: int) -> SdElem:
+        return (i // self._na, self._base.decode(i % self._na))
 
     def row(self, g: int) -> list[int]:
         s, na, base_row = self._s, self._na, self._base.row
@@ -664,9 +743,25 @@ class TableIndex:
 
     def __init__(self, group: TableGroup):
         self._rows = group._rows
+        self._inv = group._inv
 
     def index(self, e: int) -> int:
         return e
+
+    def indices(self, elems) -> Optional[list[int]]:
+        """The elements themselves, or None when one is not an int in 0..n-1."""
+        n = len(self._rows)
+        idx = list(elems)
+        return idx if all(isinstance(e, int) and 0 <= e < n for e in idx) else None
+
+    def quot(self, i: int, j: int) -> int:
+        return self._rows[self._inv[i]][j]
+
+    def columns(self, idx) -> list[list[int]]:
+        return [list(idx)]
+
+    def decode(self, i: int) -> int:
+        return i
 
     def row(self, g: int) -> list[int]:
         return list(self._rows[g])
@@ -675,10 +770,18 @@ class TableIndex:
 def compile_index(group):
     """The integer encoding of a group, indices in group.elements() order.
 
-    The result has .index(e) and .row(g), where row(g)[h] is the
-    index of g*h for indices g and h.  Compile one per use: it holds O(n)
-    ints besides a table group's own table, and each row is built on
-    demand in O(n) list operations.
+    The result has
+        .index(e)       position of e, coordinates reduced mod their factor
+        .indices(es)    strict positions of outside input, or None when
+                        some entry is not an element
+        .quot(i, j)     index of inv(g_i) * g_j
+        .decode(i)      the element at index i
+        .columns(is)    coordinate k of the element at each index, for
+                        every k: u first for a semidirect product
+        .row(g)         row(g)[h] is the index of g*h
+    for indices g, h, i and j.  Compile one per use: it holds O(n) ints
+    besides a table group's own table, each table built on first use,
+    and each row is built on demand in O(n) list operations.
     """
     if isinstance(group, AbelianSpec):
         return AbelianIndex(group)

@@ -23,15 +23,35 @@ def _as_tuple_elem(e):
     return tuple(e) if isinstance(e, (list, tuple)) else e
 
 
-def is_directed_terrace(group, arrangement) -> tuple[bool, list]:
-    """Check the covering conditions; returns (verdict, quotient list)."""
-    seq = [_as_tuple_elem(e) for e in arrangement]
-    elems = list(group.elements())
-    quots = [group.quot(seq[i], seq[i + 1]) for i in range(len(seq) - 1)] if len(seq) > 1 else []
-    if len(seq) != len(elems) or set(seq) != set(elems):
-        return False, quots
-    nonid = set(elems) - {group.identity}
-    return set(quots) == nonid and len(quots) == len(nonid), quots
+def is_directed_terrace(group, arrangement) -> tuple[bool, list[int]]:
+    """Check the covering conditions on element indices.
+
+    Returns (verdict, quotients): quotients[i] is the index, in
+    group.elements() order, of a_i^-1 a_{i+1}, and the list is empty
+    when the verdict is False.  An entry that is not an element (a
+    coordinate outside its range) makes the verdict False; one of the
+    wrong length raises ShapeMismatch.  Byte marks over the indices
+    0..n-1 check that every element appears once and that the quotients
+    cover every index but the identity's.
+    """
+    enc = compile_index(group)
+    n = group.order
+    idx = enc.indices(arrangement)
+    if idx is None or len(idx) != n:
+        return False, []
+    marks = bytearray(n)
+    for i in idx:
+        marks[i] = 1
+    if 0 in marks:
+        return False, []
+    quots = list(map(enc.quot, idx, islice(idx, 1, None)))
+    marks = bytearray(n)
+    marks[enc.indices([group.identity])[0]] = 1
+    for q in quots:
+        marks[q] = 1
+    if 0 in marks:
+        return False, []
+    return True, quots
 
 
 def walecki_terrace(n: int):
@@ -55,22 +75,43 @@ class LatinSquare:
 
 
 def terrace_to_complete_square(group, terrace) -> LatinSquare:
-    """Rows run through the terrace's elementwise inverses, columns through the terrace.
-
-    Cell (i, j) is the index, in group.elements() order, of row i times
-    column j: the row's product row read at the terrace's indices.
-    """
+    """Rows run through the terrace's elementwise inverses, columns through the terrace."""
     ok, _ = is_directed_terrace(group, terrace)
     if not ok:
         raise NotATerrace("row/column source must be a directed terrace")
-    seq = [_as_tuple_elem(e) for e in terrace]
-    rows = [group.inv(e) for e in seq]
+    seq = tuple(_as_tuple_elem(e) for e in terrace)
     enc = compile_index(group)
-    cols = [enc.index(e) for e in seq]
+    grid = _grid(enc, enc.indices([group.identity])[0], enc.indices(seq))
+    return LatinSquare(len(seq), grid, tuple(map(group.inv, seq)), seq)
+
+
+def sequencing_square(group, quotients) -> LatinSquare:
+    """The complete square of a sequencing given as the gate's quotient indices.
+
+    Nothing is re-checked: the quotients come from is_directed_terrace.
+    Every terrace with these quotients is a left translate a_i = a_0 b_i
+    of the one that starts at the identity, b_0 = e and b_{i+1} = b_i q_i,
+    and a_i^-1 a_j = b_i^-1 b_j, so b's square is the square of each of
+    them.  Rows run through b's inverses, columns through b.
+    """
+    enc = compile_index(group)
+    e = enc.indices([group.identity])[0]
+    b = [e]
+    for q in quotients:
+        b.append(enc.quot(enc.quot(b[-1], e), q))  # inv(inv(b_i)) * q_i
+    rows = (enc.decode(enc.quot(g, e)) for g in b)
+    return LatinSquare(len(b), _grid(enc, e, b), tuple(rows), tuple(map(enc.decode, b)))
+
+
+def _grid(enc, e, cols):
+    """Cell (i, j) is the index of a_i^-1 a_j, for the terrace a at indices cols.
+
+    e is the identity's index.  A row is the product row of a_i^-1 read
+    at the columns' indices.
+    """
     # itemgetter with one key returns the bare item, not a 1-tuple
     pick = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
-    grid = tuple(pick(enc.row(enc.index(g))) for g in rows)
-    return LatinSquare(len(seq), grid, tuple(rows), tuple(seq))
+    return tuple(pick(enc.row(enc.quot(c, e))) for c in cols)
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,6 @@ def exhaustive_sequencings(
     group,
     limit: Optional[int] = None,
     jobs: int = 1,
-    desk_limit: Optional[int] = None,
 ) -> ExhaustiveResult:
     """Every identity-anchored directed terrace of a small group.
 
@@ -99,7 +98,7 @@ def exhaustive_sequencings(
     to completion and merge in branch order, so the output matches the
     sequential walk.
     """
-    cap = desk_cap(EXHAUSTIVE_CAP, desk_limit)
+    cap = desk_cap(EXHAUSTIVE_CAP)
     n = group.order
     if n > cap:
         raise DeskScaleExceeded(f"order {n} exceeds exhaustive cap {cap}")
@@ -121,9 +120,9 @@ def exhaustive_sequencings(
     return ExhaustiveResult(terraces, count, exhausted)
 
 
-def enumerate_graceful(k: int, desk_limit: Optional[int] = None) -> tuple:
+def enumerate_graceful(k: int) -> tuple:
     """All graceful permutations of 1..k, lexicographically."""
-    cap = desk_cap(GRACEFUL_CAP, desk_limit)
+    cap = desk_cap(GRACEFUL_CAP)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > cap:
@@ -152,7 +151,6 @@ def constrained_search(
     constraints: Sequence[Callable[[tuple], bool]],
     seed: int = 0,
     max_nodes: int = 500_000,
-    desk_limit: Optional[int] = None,
 ) -> tuple:
     """First full arrangement of the domain passing every prefix predicate.
 
@@ -160,7 +158,7 @@ def constrained_search(
     can succeed.  Candidate order at every depth is one seeded shuffle
     of the domain, so equal seeds give equal output.
     """
-    cap = desk_cap(DOMAIN_CAP, desk_limit)
+    cap = desk_cap(DOMAIN_CAP)
     items = list(domain)
     if len(items) > cap:
         raise DeskScaleExceeded(f"domain size {len(items)} exceeds cap {cap}")

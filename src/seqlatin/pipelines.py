@@ -29,8 +29,10 @@ from .groups import (
     MatrixBlock,
     ScalarBlock,
     SdSpec,
+    compile_index,
     cyclic,
     extend_to_basis,
+    group_to_descriptor,
     mat_identity,
     mat_inv,
     mat_mul,
@@ -57,18 +59,35 @@ from .template import assemble, theorem4_assign
 
 @dataclass(frozen=True)
 class SequencingCertificate:
+    """A directed terrace and its quotients, as the gate returned them.
+
+    quotients[i] is the index, in group.elements() order, of
+    a_i^-1 a_{i+1}; .sequencing decodes them to group elements.
+    """
+
     group: object  # SdSpec, or a cyclic AbelianSpec for the even orders
     terrace: tuple
-    sequencing: tuple
+    quotients: tuple[int, ...]
     provenance: dict
 
-    def to_json(self) -> dict:
-        from .groups import group_to_descriptor
+    @property
+    def sequencing(self) -> tuple:
+        return tuple(map(compile_index(self.group).decode, self.quotients))
 
+    def to_json(self) -> dict:
+        # one flat row of coordinates per element
+        group = self.group
+        if isinstance(group, SdSpec):
+            terrace = [[u, *v] for u, v in self.terrace]
+        elif isinstance(group, AbelianSpec):
+            terrace = [list(e) for e in self.terrace]
+        else:
+            terrace = [[e] for e in self.terrace]
+        steps = compile_index(group).columns(self.quotients)
         return {
-            "group": group_to_descriptor(self.group),
-            "terrace": [list(_flatten(e)) for e in self.terrace],
-            "sequencing": [list(_flatten(e)) for e in self.sequencing],
+            "group": group_to_descriptor(group),
+            "terrace": terrace,
+            "sequencing": list(map(list, zip(*steps))),
             "provenance": self.provenance,
         }
 
@@ -86,15 +105,6 @@ class NoGroupBasedCLS:
 
     order: int
     verdict: str
-
-
-def _flatten(e):
-    # semidirect elements are (u, (v...)); abelian ones plain tuples
-    if isinstance(e, int):
-        return (e,)
-    if len(e) == 2 and isinstance(e[1], tuple):
-        return (e[0],) + e[1]
-    return tuple(e)
 
 
 def _check_order(q: int, base: int, p: int = 1, k: int = 0) -> None:

@@ -218,7 +218,6 @@ def search_r_terrace(
     element_orders: Sequence[tuple[int, int]] = (),
     seed: int = 0,
     max_nodes: int = 200_000,
-    desk_limit: Optional[int] = None,
 ) -> RTerrace:
     """Randomized backtracking for a directed R-terrace under constraints.
 
@@ -233,7 +232,7 @@ def search_r_terrace(
     iterator each, so neither the result nor the speed depends on the
     caller's stack depth.
     """
-    cap = desk_cap(250, desk_limit)
+    cap = desk_cap(250)
     m = group.order
     if m > cap:
         raise ShapeMismatch(f"group order {m} exceeds search cap {cap}")
@@ -352,7 +351,6 @@ def search_r_terrace_retry(
     element_orders: Sequence[tuple[int, int]] = (),
     seeds: Sequence[int] = range(8),
     max_nodes: int = 200_000,
-    desk_limit: Optional[int] = None,
 ) -> RTerrace:
     """Run search_r_terrace over several seeds, returning the first hit."""
     err: Optional[NotFound] = None
@@ -365,7 +363,6 @@ def search_r_terrace_retry(
                 element_orders=element_orders,
                 seed=s,
                 max_nodes=max_nodes,
-                desk_limit=desk_limit,
             )
         except NotFound as e:
             err = e

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from seqlatin.cli import main
-from seqlatin.groups import AbelianSpec, ScalarBlock
+from seqlatin.groups import AbelianSpec, ScalarBlock, group_to_descriptor
+from seqlatin.oracle import s3_table
 
 
 def run(capsys, argv):
@@ -222,6 +223,37 @@ def test_verify_huge_semidirect_modulus_answers_at_once(tmp_path, capsys, monkey
     code, _, err = run(capsys, ["verify", str(path)])
     assert code == 1
     assert "does not divide s=2" in err
+
+
+def test_verify_table_entry_outside_the_table(tmp_path, capsys):
+    # 9 is not an element of S3: invalid, not an internal failure
+    path = tmp_path / "s3.json"
+    doc = {
+        "group": group_to_descriptor(s3_table()),
+        "terrace": [0, 1, 2, 3, 4, 9],
+        "sequencing": [1, 1, 1, 1, 1],
+    }
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["verify", str(path)])
+    assert code == 1
+    assert json.loads(out)["checks"] == {"terrace": False, "sequencing": False}
+
+
+@pytest.mark.parametrize("order", [21, 75])
+def test_verify_coordinate_raised_by_its_modulus(tmp_path, capsys, order):
+    path = tmp_path / "cert.json"
+    run(capsys, ["sequence", "--order", str(order), "--out", str(path)])
+    doc = json.loads(path.read_text())
+    group = doc["certificate"]["group"]["semidirect"]
+    moduli = [group["s"]] + group["base"]
+    for key in ("terrace", "sequencing"):
+        for pos, m in enumerate(moduli):
+            bad = json.loads(json.dumps(doc))
+            bad["certificate"][key][3][pos] += m
+            path.write_text(json.dumps(bad))
+            code, out, _ = run(capsys, ["verify", str(path)])
+            assert code == 1, (key, pos)
+            assert json.loads(out)["checks"][key] is False
 
 
 def test_latin_csv_file(tmp_path, capsys):

@@ -15,8 +15,17 @@ from hypothesis import strategies as st
 
 from seqlatin.cli import main
 from seqlatin.errors import SeqLatinError
-from seqlatin.groups import group_from_descriptor
-from seqlatin.pipelines import sequence_order
+from seqlatin.groups import (
+    Automorphism,
+    ScalarBlock,
+    SdSpec,
+    TableGroup,
+    cyclic,
+    group_from_descriptor,
+)
+from seqlatin.latin import is_directed_terrace
+from seqlatin.oracle import exhaustive_sequencings
+from seqlatin.pipelines import SequencingCertificate, sequence_order
 
 # fixed examples keep the suite deterministic; the deadline bounds each one
 FUZZ = settings(
@@ -76,15 +85,38 @@ descriptors = st.one_of(
     any_json,
 )
 
-# valid certificates to start from: cyclic, Walecki, cyclic-semidirect and product
-VALID = [sequence_order(n).to_json() for n in (2, 6, 21, 39, 75)]
+def _d10_certificate() -> dict:
+    """D10 written as a Cayley table, with the oracle's first terrace."""
+    sd = SdSpec(2, cyclic(5), Automorphism((ScalarBlock(5, 4),)))
+    elems = list(sd.elements())
+    d10 = TableGroup([[elems.index(sd.mul(a, b)) for b in elems] for a in elems])
+    terrace = exhaustive_sequencings(d10, limit=1).terraces[0]
+    ok, quots = is_directed_terrace(d10, terrace)
+    assert ok
+    return SequencingCertificate(d10, terrace, tuple(quots), {}).to_json()
+
+
+def moduli(group_doc: dict) -> list[int]:
+    """The modulus of each coordinate of an element row."""
+    if "semidirect" in group_doc:
+        return [group_doc["semidirect"]["s"]] + group_doc["semidirect"]["base"]
+    if "abelian" in group_doc:
+        return group_doc["abelian"]
+    return [group_doc["table"]["n"]]
+
+
+# valid certificates to start from: cyclic, Walecki, cyclic-semidirect,
+# product and table
+VALID = [sequence_order(n).to_json() for n in (2, 6, 21, 39, 75)] + [_d10_certificate()]
 rows = st.lists(st.lists(small, max_size=4), max_size=8)
 
 
 @st.composite
 def certificate_texts(draw):
     cert = json.loads(json.dumps(draw(st.sampled_from(VALID))))
-    how = draw(st.sampled_from(["valid", "group", "swap", "junk row", "cut", "fields", "any"]))
+    how = draw(
+        st.sampled_from(["valid", "group", "swap", "junk row", "cut", "range", "fields", "any"])
+    )
     if how == "group":
         cert["group"] = draw(descriptors)
     elif how == "swap":
@@ -97,6 +129,12 @@ def certificate_texts(draw):
         seq = cert[key]
         if seq:
             seq[draw(st.integers(0, len(seq) - 1))] = draw(any_json)
+    elif how == "range":
+        # one coordinate raised to its modulus or beyond: not an element
+        seq = cert[draw(st.sampled_from(["terrace", "sequencing"]))]
+        row = seq[draw(st.integers(0, len(seq) - 1))]
+        pos = draw(st.integers(0, len(row) - 1))
+        row[pos] = moduli(cert["group"])[pos] + draw(st.integers(0, 3))
     elif how == "cut":
         cert["terrace"] = cert["terrace"][: draw(st.integers(0, len(cert["terrace"])))]
     elif how == "fields":

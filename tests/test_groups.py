@@ -19,6 +19,7 @@ from seqlatin.groups import (
     TableGroup,
     automorphism_from_descriptor,
     automorphism_to_descriptor,
+    compile_index,
     cyclic,
     extend_to_basis,
     group_from_descriptor,
@@ -66,9 +67,10 @@ def test_enumeration_order():
     # rightmost coordinate moves fastest
     g = AbelianSpec((2, 3))
     assert list(g.elements()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    decode = compile_index(g).decode
     for i, x in enumerate(g.elements()):
         assert g.index_of(x) == i
-        assert g.element_by_index(i) == x
+        assert decode(i) == x
 
 
 def test_element_order():

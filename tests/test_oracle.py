@@ -89,11 +89,12 @@ def test_trivial_group():
     assert one.count == 1 and one.terraces == (((),),)
 
 
-def test_exhaustive_desk_cap():
+def test_exhaustive_desk_cap(monkeypatch):
     with pytest.raises(DeskScaleExceeded):
         exhaustive_sequencings(cyclic(18))
+    monkeypatch.setenv("SEQLATIN_DESK_LIMIT", "6")
     with pytest.raises(DeskScaleExceeded):
-        exhaustive_sequencings(cyclic(8), desk_limit=6)
+        exhaustive_sequencings(cyclic(8))
 
 
 def test_fixture_tables():
@@ -122,12 +123,13 @@ def test_enumerate_graceful_counts():
     assert (1, 3, 2) in enumerate_graceful(3)
 
 
-def test_enumerate_graceful_caps():
+def test_enumerate_graceful_caps(monkeypatch):
     with pytest.raises(DeskScaleExceeded):
         enumerate_graceful(9)
     with pytest.raises(ValueError):
         enumerate_graceful(0)
-    assert len(enumerate_graceful(9, desk_limit=9)) > 0
+    monkeypatch.setenv("SEQLATIN_DESK_LIMIT", "9")
+    assert len(enumerate_graceful(9)) > 0
 
 
 def test_constrained_search_r_terrace():

@@ -39,7 +39,9 @@ def _assert_certificate(cert, order):
     assert len(cert.terrace) == order
     ok, quots = is_directed_terrace(cert.group, cert.terrace)
     assert ok
-    assert tuple(quots) == cert.sequencing
+    assert tuple(quots) == cert.quotients
+    pairs = zip(cert.terrace, cert.terrace[1:])
+    assert cert.sequencing == tuple(cert.group.quot(a, b) for a, b in pairs)
     json.dumps(cert.to_json())  # provenance must stay serializable
 
 

@@ -246,9 +246,10 @@ def test_search_node_budget():
         search_r_terrace(cyclic(45), star=True, max_nodes=3)
 
 
-def test_search_desk_cap():
+def test_search_desk_cap(monkeypatch):
+    monkeypatch.setenv("SEQLATIN_DESK_LIMIT", "250")
     with pytest.raises(ShapeMismatch):
-        search_r_terrace(cyclic(251), desk_limit=250)
+        search_r_terrace(cyclic(251))
 
 
 def test_search_rejects_even_order():

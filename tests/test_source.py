@@ -1,5 +1,5 @@
-"""Package sources compile without warnings, import without sympy, and
-hold no recursive closures."""
+"""Package sources compile without warnings, import without sympy, hold
+no recursive closures, and keep the reference checkers independent."""
 
 import ast
 import subprocess
@@ -59,3 +59,44 @@ def test_no_recursive_closures(path):
 def test_recursive_closure_detector():
     src = "def outer():\n    def walk(i):\n        return walk(i - 1) if i else 0\n    return walk(3)\n"
     assert _recursive_closures(ast.parse(src)) == ["outer.walk"]
+
+
+def _names_used(func: ast.AST) -> set[str]:
+    """Every bare name and attribute name a function's body mentions."""
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module defines itself: functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("checker", ["naive_directed_terrace", "naive_r_terrace"])
+def test_reference_checkers_stay_independent(checker):
+    """The oracle's checkers vouch for the gate, so they share none of its code."""
+    banned = {"compile_index", "latin"} | _top_level_names(
+        ast.parse((SRC / "seqlatin" / "latin.py").read_text())
+    )
+    tree = ast.parse((SRC / "seqlatin" / "oracle.py").read_text())
+    func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == checker)
+    assert _names_used(func) & banned == set()
+    assert "is_directed_terrace" in banned
+
+
+def test_independence_detector():
+    src = "def check(group, arr):\n    return latin.is_directed_terrace(group, compile_index(group))\n"
+    used = _names_used(ast.parse(src).body[0])
+    assert {"latin", "is_directed_terrace", "compile_index"} <= used

@@ -3,7 +3,7 @@
 import pytest
 
 from seqlatin.errors import ConditionsViolated, GroupFormatError, ShapeMismatch
-from seqlatin.groups import AbelianSpec, Automorphism, ScalarBlock, SdSpec, cyclic
+from seqlatin.groups import AbelianSpec, Automorphism, ScalarBlock, SdSpec, compile_index, cyclic
 from seqlatin.harmonious import HashHarmonious
 from seqlatin.latin import is_directed_terrace
 from seqlatin.rotational import make_r_terrace
@@ -85,7 +85,7 @@ def test_assemble_is_terrace():
     assert arr[0] == (0, (3,))
     ok, quots = is_directed_terrace(SD_3_7, arr)
     assert ok
-    assert quots[0] == (1, (0,))
+    assert compile_index(SD_3_7).decode(quots[0]) == (1, (0,))
 
 
 def test_assign_rejects_wrong_ends():
