@@ -556,14 +556,21 @@ class TableGroup:
     def elements(self):
         return iter(range(len(self._rows)))
 
+    def _element(self, a) -> int:
+        """a itself, or GroupFormatError when a is not an int in 0..n-1."""
+        n = len(self._rows)
+        if type(a) is not int or not 0 <= a < n:
+            raise GroupFormatError(f"{a!r} is not an element of a table group of order {n}")
+        return a
+
     def mul(self, a: int, b: int) -> int:
-        return self._rows[a][b]
+        return self._rows[self._element(a)][self._element(b)]
 
     def inv(self, a: int) -> int:
-        return self._inv[a]
+        return self._inv[self._element(a)]
 
     def quot(self, a: int, b: int) -> int:
-        return self._rows[self._inv[a]][b]
+        return self._rows[self._inv[self._element(a)]][self._element(b)]
 
     def element_order(self, a: int) -> int:
         cur, n = a, 1

@@ -10,13 +10,15 @@ horizontally adjacent cells and once in vertically adjacent cells.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import NotATerrace, OddOrder
-from .groups import compile_index
+from .groups import TableGroup, compile_index
 
 
 def _as_tuple_elem(e):
@@ -75,14 +77,16 @@ class LatinSquare:
 
 
 def terrace_to_complete_square(group, terrace) -> LatinSquare:
-    """Rows run through the terrace's elementwise inverses, columns through the terrace."""
-    ok, _ = is_directed_terrace(group, terrace)
+    """Rows run through the terrace's elementwise inverses, columns through the terrace.
+
+    The gate runs on every call; the grid is the square cache's (see
+    _square_grid), shared by every terrace with the same quotients.
+    """
+    ok, quots = is_directed_terrace(group, terrace)
     if not ok:
         raise NotATerrace("row/column source must be a directed terrace")
     seq = tuple(_as_tuple_elem(e) for e in terrace)
-    enc = compile_index(group)
-    grid = _grid(enc, enc.indices([group.identity])[0], enc.indices(seq))
-    return LatinSquare(len(seq), grid, tuple(map(group.inv, seq)), seq)
+    return LatinSquare(len(seq), _square_grid(group, quots), tuple(map(group.inv, seq)), seq)
 
 
 def sequencing_square(group, quotients) -> LatinSquare:
@@ -96,11 +100,18 @@ def sequencing_square(group, quotients) -> LatinSquare:
     """
     enc = compile_index(group)
     e = enc.indices([group.identity])[0]
+    b = _left_terrace(enc, e, quotients)
+    rows = (enc.decode(enc.quot(g, e)) for g in b)
+    grid = _square_grid(group, quotients)
+    return LatinSquare(len(b), grid, tuple(rows), tuple(map(enc.decode, b)))
+
+
+def _left_terrace(enc, e, quotients) -> list[int]:
+    """Indices of the terrace b that starts at the identity (index e)."""
     b = [e]
     for q in quotients:
         b.append(enc.quot(enc.quot(b[-1], e), q))  # inv(inv(b_i)) * q_i
-    rows = (enc.decode(enc.quot(g, e)) for g in b)
-    return LatinSquare(len(b), _grid(enc, e, b), tuple(rows), tuple(map(enc.decode, b)))
+    return b
 
 
 def _grid(enc, e, cols):
@@ -114,6 +125,55 @@ def _grid(enc, e, cols):
     return tuple(pick(enc.row(enc.quot(c, e))) for c in cols)
 
 
+# The square cache: grids by (group, quotients), least recently used
+# first, each entry [grid, cells charged, report or None].  A grid and
+# its report are immutable, so every square built from an entry shares
+# them.  The bound counts cells: 8 bytes each, since cells point at the
+# encoder's shared ints.  A table group's entry is charged its table as
+# well, because the key keeps the group alive, and every entry is
+# charged _ENTRY_CELLS for its own bookkeeping (about 500 bytes), so
+# many tiny squares stay bounded too.
+_MAX_CELLS = 4_000_000
+_ENTRY_CELLS = 64
+_squares: OrderedDict[tuple, list] = OrderedDict()
+_by_grid: dict[int, list] = {}  # id(grid) -> its entry, which keeps the grid alive
+_held = 0  # cells charged to the entries in _squares
+_lock = threading.Lock()
+
+
+def _square_grid(group, quotients):
+    """The grid of the sequencing `quotients`, from the cache or built and stored.
+
+    AbelianSpec and SdSpec compare by value, so an equal group rebuilt
+    from its descriptor hits; a TableGroup compares by identity, so its
+    squares hit only for the same group object.  A square charged more
+    than the bound is built and returned but not stored.
+    """
+    global _held
+    key = (group, tuple(quotients))
+    with _lock:
+        entry = _squares.get(key)
+        if entry is not None:
+            _squares.move_to_end(key)
+            return entry[0]
+    enc = compile_index(group)
+    e = enc.indices([group.identity])[0]
+    grid = _grid(enc, e, _left_terrace(enc, e, quotients))
+    cells = len(grid) ** 2 * (2 if isinstance(group, TableGroup) else 1) + _ENTRY_CELLS
+    if cells > _MAX_CELLS:
+        return grid
+    with _lock:
+        if key in _squares:  # another thread stored it first
+            return _squares[key][0]
+        while _held + cells > _MAX_CELLS:
+            old, old_cells, _ = _squares.popitem(last=False)[1]
+            del _by_grid[id(old)]
+            _held -= old_cells
+        _squares[key] = _by_grid[id(grid)] = [grid, cells, None]
+        _held += cells
+    return grid
+
+
 @dataclass(frozen=True)
 class CompletenessReport:
     is_latin: bool
@@ -123,51 +183,60 @@ class CompletenessReport:
     witness: Optional[tuple] = None
 
 
-def _row_complete(grid: Sequence[Sequence[int]], n: int):
-    seen = [False] * (n * n)
-    for r, row in enumerate(grid):
-        for j in range(n - 1):
-            a, b = row[j], row[j + 1]
-            key = a * n + b
-            if seen[key]:
-                return False, (a, b, r, j)
-            seen[key] = True
-    return True, None
+def _repeated_pair(lines):
+    """The first adjacent pair seen twice, as (a, b, line, position), or None."""
+    seen = set()
+    for r, line in enumerate(lines):
+        for j, pair in enumerate(zip(line, islice(line, 1, None))):
+            if pair in seen:
+                return (*pair, r, j)
+            seen.add(pair)
+    return None
 
 
-def _adjacent_distinct(key_rows, n) -> bool:
-    # n(n-1) adjacent pairs, all with distinct symbols in a Latin square,
-    # so distinctness of the keys is exactly the covering condition
-    seen: set[int] = set()
-    total = 0
-    for keys in key_rows:
-        seen.update(keys)
-        total += len(keys)
-    return len(seen) == total
+def _successors_distinct(lines, n: int) -> bool:
+    """Whether the n lines of a Latin square hold each ordered pair of distinct symbols once.
+
+    A symbol is followed once in every line but the one it ends (None
+    there), so the adjacent pairs are all distinct iff each symbol's n
+    successors are.  This holds one line's successor map and n^2
+    pointers, not a set of n^2 pairs.
+    """
+    succ = [list(map(dict(zip(line, islice(line, 1, None))).get, range(n))) for line in lines]
+    return all(len(set(t)) == n for t in zip(*succ))
+
+
+def _report(n: int, grid) -> CompletenessReport:
+    symbols = set(range(n))
+    cols = list(zip(*grid))
+    is_latin = (
+        len(grid) == n
+        and all(len(row) == n and set(row) == symbols for row in grid)
+        and all(set(col) == symbols for col in cols)
+    )
+    row_w = None if is_latin and _successors_distinct(grid, n) else _repeated_pair(grid)
+    col_w = None if is_latin and _successors_distinct(cols, n) else _repeated_pair(cols)
+    row_ok, col_ok = row_w is None, col_w is None
+    return CompletenessReport(
+        is_latin, row_ok, col_ok, is_latin and row_ok and col_ok, row_w or col_w
+    )
 
 
 def completeness_report(square: LatinSquare) -> CompletenessReport:
-    n = square.n
+    """Latin, row- and column-complete, and the first repeated adjacent pair if any.
+
+    Without the Latin property, completeness means the adjacent pairs are
+    all distinct.  The witness is the first repeated pair of the rows, or
+    else of the columns (a, b, column, row).  The report of a cached grid
+    is computed once and kept with its cache entry.
+    """
     grid = square.grid
-    symbols = set(range(n))
-    cols = list(zip(*grid))
-    is_latin = all(set(row) == symbols for row in grid) and all(
-        set(col) == symbols for col in cols
-    )
-    row_ok = _adjacent_distinct(
-        ([a * n + b for a, b in zip(row, islice(row, 1, None))] for row in grid), n
-    )
-    col_ok = _adjacent_distinct(
-        ([a * n + b for a, b in zip(col, islice(col, 1, None))] for col in cols), n
-    )
-    witness = None
-    if not row_ok:
-        _, witness = _row_complete(grid, n)
-    elif not col_ok:
-        _, witness = _row_complete(cols, n)
-    return CompletenessReport(
-        is_latin, row_ok, col_ok, is_latin and row_ok and col_ok, witness
-    )
+    entry = _by_grid.get(id(grid))
+    if entry is None or square.n != len(grid):
+        return _report(square.n, grid)
+    if entry[2] is None:
+        entry[2] = _report(square.n, grid)
+    return entry[2]
 
 
 def square_to_csv(square: LatinSquare) -> str:

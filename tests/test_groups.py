@@ -315,6 +315,18 @@ def test_table_klein():
     assert all(g.inv(i) == i for i in range(4))
 
 
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -2), (6, 0), (0, 6), (True, 0), (1.0, 0), ("1", 0)])
+def test_table_ops_refuse_non_elements(a, b):
+    # a negative index would otherwise read a row from the end
+    g = s3_table()
+    with pytest.raises(GroupFormatError):
+        g.mul(a, b)
+    with pytest.raises(GroupFormatError):
+        g.quot(a, b)
+    with pytest.raises(GroupFormatError):
+        g.inv(a if a != 0 else b)
+
+
 def test_table_rejects_non_latin():
     with pytest.raises(GroupFormatError):
         TableGroup([[0, 1], [0, 1]])

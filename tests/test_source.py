@@ -100,3 +100,24 @@ def test_independence_detector():
     src = "def check(group, arr):\n    return latin.is_directed_terrace(group, compile_index(group))\n"
     used = _names_used(ast.parse(src).body[0])
     assert {"latin", "is_directed_terrace", "compile_index"} <= used
+
+
+def test_traced_names_resolve():
+    """The benchmark's tracer reads every listed name with getattr, so a rename breaks traced runs."""
+    import importlib
+    import importlib.util
+
+    path = SRC.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, names in tracing.TRACED.items():
+        mod = importlib.import_module(f"seqlatin.{mod_name}")
+        for attr in names:
+            owner = mod
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{mod_name}.{attr}")
+    assert missing == []
