@@ -79,7 +79,3 @@ class NotATerrace(SeqLatinError):
 
 class OddOrder(SeqLatinError):
     """An operation requires even order (or vice versa) and got the wrong parity."""
-
-
-class UnsupportedDecomposition(SeqLatinError):
-    """The group's invariant factors do not fit any implemented template."""

@@ -25,9 +25,16 @@ def is_graceful(values: Sequence[int]) -> bool:
 
 
 def walecki_graceful(k: int) -> tuple[int, ...]:
-    """The zig-zag permutation (1, k, 2, k-1, ...)."""
+    """The zig-zag permutation (1, k, 2, k-1, ...).
+
+    k is capped at the pipeline order cap: the pipelines ask for k below
+    the order, so only a direct caller can reach it.
+    """
+    cap = desk_cap(5000)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k > cap:
+        raise DeskScaleExceeded(f"k = {k} exceeds zig-zag cap {cap}")
     out = []
     lo, hi = 1, k
     while lo <= hi:

@@ -7,8 +7,6 @@ Three concrete group representations share one informal protocol:
     .elements()     iterator over all elements in a fixed canonical order
     .mul(a, b)      group product
     .inv(a)         group inverse
-    .quot(a, b)     inv(a) * b on elements; the terrace gate reads the
-                    encoded quot on indices, which the tests hold to this
 
 * AbelianSpec   -- direct product of cyclic groups, elements are int tuples
 * SdSpec        -- semidirect product of Z_s acting on an AbelianSpec
@@ -220,9 +218,6 @@ class AbelianSpec:
     def inv(self, a):
         return self.neg(a)
 
-    def quot(self, a, b):
-        return self.sub(b, a)
-
     def index_of(self, a: Sequence[int]) -> int:
         self._check(a)
         idx = 0
@@ -396,14 +391,6 @@ class Automorphism:
     def apply(self, v: Sequence[int]) -> AbElem:
         return self.apply_power(1, v)
 
-    @staticmethod
-    def identity_on(spec: AbelianSpec) -> "Automorphism":
-        return Automorphism(tuple(ScalarBlock(m, 1) for m in spec.factors))
-
-    @staticmethod
-    def scalar_on(spec: AbelianSpec, unit: int) -> "Automorphism":
-        return Automorphism(tuple(ScalarBlock(m, unit % m) for m in spec.factors))
-
 
 # ---------------------------------------------------------------------------
 # semidirect products Z_q acting on an abelian group
@@ -455,19 +442,6 @@ class SdSpec:
         u, v = g
         nu = (-u) % self.s
         return (nu, self.base.neg(self.alpha.apply_power(nu, v)))
-
-    def quot(self, g: SdElem, h: SdElem) -> SdElem:
-        # inv(g) * h, expanded: ((x - u), y - alpha^(x-u)(v))
-        (u, v), (x, y) = g, h
-        d = (x - u) % self.s
-        return (d, self.base.sub(y, self.alpha.apply_power(d, v)))
-
-    def element_order(self, g: SdElem) -> int:
-        cur, n = g, 1
-        while cur != self.identity:
-            cur = self.mul(cur, g)
-            n += 1
-        return n
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +543,6 @@ class TableGroup:
     def inv(self, a: int) -> int:
         return self._inv[self._element(a)]
 
-    def quot(self, a: int, b: int) -> int:
-        return self._rows[self._inv[self._element(a)]][self._element(b)]
-
-    def element_order(self, a: int) -> int:
-        cur, n = a, 1
-        while cur != self._identity:
-            cur = self.mul(cur, a)
-            n += 1
-        return n
-
     def mul_table(self) -> list[list[int]]:
         return [list(r) for r in self._rows]
 
@@ -600,7 +564,6 @@ class AbelianIndex:
     """
 
     def __init__(self, spec: AbelianSpec, span: int = 0):
-        self.index = spec.index_of
         self._spec = spec
         self._span = span or spec.order
         *head, self._last = spec.factors or (1,)
@@ -700,10 +663,6 @@ class SdIndex:
             twists.append([once[i] for i in twists[-1]])
         return twists
 
-    def index(self, e: SdElem) -> int:
-        u, v = e
-        return u * self._na + self._base.index(v)
-
     def indices(self, elems) -> Optional[list[int]]:
         """Strict index of every (u, v), or None when one is not an element.
 
@@ -752,9 +711,6 @@ class TableIndex:
         self._rows = group._rows
         self._inv = group._inv
 
-    def index(self, e: int) -> int:
-        return e
-
     def indices(self, elems) -> Optional[list[int]]:
         """The elements themselves, or None when one is not an int in 0..n-1."""
         n = len(self._rows)
@@ -778,7 +734,6 @@ def compile_index(group):
     """The integer encoding of a group, indices in group.elements() order.
 
     The result has
-        .index(e)       position of e, coordinates reduced mod their factor
         .indices(es)    strict positions of outside input, or None when
                         some entry is not an element
         .quot(i, j)     index of inv(g_i) * g_j

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import (
-    ConstructionFailed,
-    GroupFormatError,
-    NotCoprime,
-    ShapeMismatch,
-    UnsupportedDecomposition,
-)
-from .groups import AbElem, AbelianSpec, Automorphism
+from .errors import ConstructionFailed, GroupFormatError, NotCoprime, ShapeMismatch
+from .groups import AbElem, AbelianSpec
 
 
 @dataclass(frozen=True)
@@ -50,31 +44,6 @@ class MatchedPair:
             or self.hash.entries[-1] != self.harm.entries[-1]
         ):
             raise ShapeMismatch("matched pair must share first and last entries")
-
-
-def check_hash(group: AbelianSpec, entries) -> bool:
-    """Entries and their cyclic consecutive sums both cover the non-identity elements."""
-    seq = [group.reduce(e) for e in entries]
-    m = group.order
-    if len(seq) != m - 1:
-        return False
-    nonzero = set(group.elements()) - {group.identity}
-    if set(seq) != nonzero:
-        return False
-    sums = {group.add(seq[i], seq[(i + 1) % (m - 1)]) for i in range(m - 1)}
-    return sums == nonzero
-
-def check_harm(group: AbelianSpec, entries) -> bool:
-    """Entries and their cyclic consecutive sums are both permutations of the group."""
-    seq = [group.reduce(e) for e in entries]
-    m = group.order
-    if len(seq) != m:
-        return False
-    allelems = set(group.elements())
-    if set(seq) != allelems:
-        return False
-    sums = {group.add(seq[i], seq[(i + 1) % m]) for i in range(m)}
-    return sums == allelems
 
 
 def _cyclic_base_ints(r: int) -> tuple[list[int], list[int]]:
@@ -178,12 +147,7 @@ def _decompose(group: AbelianSpec) -> tuple[list[int], list[int]]:
             chosen = [i]
             break
     else:
-        threes = [i for i, f in enumerate(factors) if f == 3]
-        if len(threes) < 2:
-            raise UnsupportedDecomposition(
-                f"no base block available in {factors}"
-            )
-        chosen = threes[:2]
+        chosen = [0, 1]  # hash_for's odd order >= 5 makes every factor 3, at least two
     rest = [i for i in range(len(factors)) if i not in chosen]
     return chosen, rest
 
@@ -210,17 +174,14 @@ def hash_for(group: AbelianSpec) -> HashHarmonious:
 
 
 def transform_hash(h: HashHarmonious, op: str, arg=None) -> HashHarmonious:
-    """Apply scale (unit or automorphism), rotate(j), or reverse; each keeps the sum property."""
+    """Apply scale(unit), rotate(j), or reverse; each keeps the sum property."""
     group = h.group
     entries = list(h.entries)
     if op == "scale":
-        if isinstance(arg, Automorphism):
-            entries = [arg.apply(e) for e in entries]
-        else:
-            u = int(arg)
-            if gcd(u, group.exponent) != 1:
-                raise NotCoprime(f"{u} is not a unit for exponent {group.exponent}")
-            entries = [group.scale(u, e) for e in entries]
+        u = int(arg)
+        if gcd(u, group.exponent) != 1:
+            raise NotCoprime(f"{u} is not a unit for exponent {group.exponent}")
+        entries = [group.scale(u, e) for e in entries]
     elif op == "rotate":
         j = int(arg) % len(entries)
         entries = entries[j:] + entries[:j]

@@ -238,17 +238,3 @@ def completeness_report(square: LatinSquare) -> CompletenessReport:
         entry[2] = _report(square.n, grid)
     return entry[2]
 
-
-def square_to_csv(square: LatinSquare) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in square.grid) + "\n"
-
-
-def square_from_csv(text: str) -> LatinSquare:
-    rows = [
-        tuple(int(tok) for tok in line.split(","))
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    n = len(rows)
-    placeholder = tuple(range(n))
-    return LatinSquare(n, tuple(rows), placeholder, placeholder)

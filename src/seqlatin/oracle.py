@@ -1,28 +1,24 @@
 """Brute-force ground truth for the constructive modules.
 
 Everything here is deliberately naive: exhaustive backtracking over
-whole groups, full enumeration of graceful permutations, a generic
-prefix-constrained arrangement search, and second-opinion checkers
-coded without reference to the main ones.  The constructions are
-audited against these at desk scale.
+whole groups, full enumeration of graceful permutations, and
+second-opinion checkers coded without reference to the main ones.  The
+constructions are audited against these at desk scale.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .desk import desk_cap
-from .errors import DeskScaleExceeded, NotFound
+from .errors import DeskScaleExceeded
 from .groups import TableGroup, compile_index
 
 EXHAUSTIVE_CAP = 16
 GRACEFUL_CAP = 8
-DOMAIN_CAP = 250
 
 
 @dataclass(frozen=True)
@@ -44,9 +40,9 @@ class ExhaustiveResult:
 
 def _index_tables(group):
     enc = compile_index(group)
-    elems = list(group.elements())
-    quot = [enc.row(enc.index(group.inv(e))) for e in elems]
-    return elems, enc.index(group.identity), quot
+    ident = enc.indices([group.identity])[0]
+    quot = [enc.row(enc.quot(i, ident)) for i in range(group.order)]
+    return list(group.elements()), ident, quot
 
 
 def _walk(quot, n, ident, start_branches, limit):
@@ -105,7 +101,7 @@ def exhaustive_sequencings(
     elems, ident, quot = _index_tables(group)
     branches = [b for b in range(n) if b != ident]
     if jobs > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(branches))) as pool:
             parts = list(
                 pool.map(_shard_worker, [(quot, n, ident, b) for b in branches])
             )
@@ -144,46 +140,6 @@ def enumerate_graceful(k: int) -> tuple:
                 continue
             stack.append((path + (nxt,), used | bit, diffs | dbit))
     return tuple(sorted(out))
-
-
-def constrained_search(
-    domain: Sequence,
-    constraints: Sequence[Callable[[tuple], bool]],
-    seed: int = 0,
-    max_nodes: int = 500_000,
-) -> tuple:
-    """First full arrangement of the domain passing every prefix predicate.
-
-    Predicates must be monotone: once a prefix fails, no extension of it
-    can succeed.  Candidate order at every depth is one seeded shuffle
-    of the domain, so equal seeds give equal output.
-    """
-    cap = desk_cap(DOMAIN_CAP)
-    items = list(domain)
-    if len(items) > cap:
-        raise DeskScaleExceeded(f"domain size {len(items)} exceeds cap {cap}")
-    order = list(items)
-    Random(seed).shuffle(order)
-    n = len(order)
-    t0 = time.monotonic()
-    nodes = 0
-    stack = [((), set())]
-    while stack:
-        prefix, used = stack.pop()
-        if len(prefix) == n:
-            return prefix
-        for cand in reversed(order):
-            if cand in used:
-                continue
-            ext = prefix + (cand,)
-            nodes += 1
-            if nodes > max_nodes:
-                ms = int((time.monotonic() - t0) * 1000)
-                raise NotFound(f"gave up after {nodes} nodes ({ms} ms)")
-            if all(c(ext) for c in constraints):
-                stack.append((ext, used | {cand}))
-    ms = int((time.monotonic() - t0) * 1000)
-    raise NotFound(f"exhausted {nodes} nodes ({ms} ms) without a solution")
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +223,15 @@ def naive_hash_harmonious(group, entries) -> bool:
         return False
     sums = [group.add(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))]
     return sorted(sums) == sorted(e for e in elems if e != group.identity)
+
+
+def naive_harmonious(group, entries) -> bool:
+    seq = [tuple(e) for e in entries]
+    elems = sorted(group.elements())
+    if sorted(seq) != elems:
+        return False
+    sums = [group.add(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))]
+    return sorted(sums) == elems
 
 
 def naive_graceful(values) -> bool:

@@ -33,7 +33,6 @@ from .groups import (
     cyclic,
     extend_to_basis,
     group_to_descriptor,
-    mat_identity,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -301,15 +300,12 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
 class NondiagAut:
     """Order-q automorphism of Z_p^k together with its canonical data.
 
-    companion is the rational-canonical block equal to alpha^(lam-1);
-    its (1,1) entry is 0 by companion shape, so the basis change needed
-    to exhibit that form is the identity and is returned as such.
+    companion is the rational-canonical block equal to alpha^(lam-1).
     """
 
     alpha: Automorphism
     companion: tuple
     d: int
-    basis_change: tuple
 
 
 def _least_factor(p: int, q: int, d: int) -> tuple[int, ...]:
@@ -380,7 +376,7 @@ def build_nondiag_aut(p: int, k: int, q: int) -> NondiagAut:
         raise ConstructionFailed(
             "build_nondiag_aut", f"companion power has order {alpha.order}, wanted {q}"
         )
-    return NondiagAut(alpha, n, d, mat_identity(k))
+    return NondiagAut(alpha, n, d)
 
 
 def pair_transport(a: AbelianSpec, src: tuple, dst: tuple) -> Automorphism:
@@ -461,14 +457,7 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
             failures.append("hash endpoints not adjacent")
             continue
         start, hrev = pl
-        h = h0
-        hops = []
-        if hrev:
-            h = transform_hash(h, "reverse")
-            hops.append(["reverse"])
-        if start:
-            h = transform_hash(h, "rotate", start)
-            hops.append(["rotate", start])
+        h, hops = _arrange_hash(h0, 1, start, hrev)
         x = A.sub(A.add(c1, clast), alpha.apply_power(q - 1, c1))
         y = A.sub(x, alpha.apply_power((lam - 1) % q, clast))
         if x == A.identity or y == A.identity:

@@ -18,14 +18,13 @@ from typing import Optional, Sequence
 
 from .desk import desk_cap
 from .errors import (
-    ConstructionFailed,
     GroupFormatError,
     NoStarIndex,
     NotATerrace,
     NotFound,
     ShapeMismatch,
 )
-from .groups import AbElem, AbelianSpec, Automorphism
+from .groups import AbElem, AbelianSpec
 
 
 @dataclass(frozen=True)
@@ -40,16 +39,6 @@ class RTerrace:
     group: AbelianSpec
     entries: tuple[AbElem, ...]
     star_index: Optional[int] = None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def sequencing(self) -> tuple[AbElem, ...]:
-        """The cyclic difference sequence b_i = a_{i+1} - a_i."""
-        g, e = self.group, self.entries
-        return tuple(
-            g.sub(e[(i + 1) % len(e)], e[i]) for i in range(len(e))
-        )
 
     @property
     def is_standard(self) -> bool:
@@ -88,42 +77,6 @@ def make_r_terrace(
         raise NoStarIndex("no position equals the sum of its neighbors")
     star = res.star_indices[0] if res.star_indices else None
     return RTerrace(group, tuple(tuple(x) for x in entries), star)
-
-
-def standardize(t: RTerrace) -> RTerrace:
-    """Rotate so the star sits at position 0 (a_0 = a_last + a_1)."""
-    res = check_r_terrace(t.group, t.entries)
-    if not res.star_indices:
-        raise NoStarIndex("cannot standardize a terrace with no star")
-    j = res.star_indices[0]
-    rotated = t.entries[j:] + t.entries[:j]
-    return RTerrace(t.group, rotated, 0)
-
-
-def transform(t: RTerrace, op: str, arg=None) -> RTerrace:
-    """Apply a validity-preserving symmetry: reverse, negate, rotate, aut.
-
-    reverse negates the difference multiset (a bijection on non-identity
-    elements in odd order), negate and aut push a bijection through both
-    entries and differences, rotate re-anchors the cycle.
-    """
-    g = t.group
-    if op == "reverse":
-        entries = tuple(reversed(t.entries))
-    elif op == "negate":
-        entries = tuple(g.neg(x) for x in t.entries)
-    elif op == "rotate":
-        j = int(arg) % len(t.entries)
-        entries = t.entries[j:] + t.entries[:j]
-    elif op == "aut":
-        if not isinstance(arg, Automorphism):
-            raise GroupFormatError("aut transform needs an Automorphism")
-        entries = tuple(arg.apply(x) for x in t.entries)
-    else:
-        raise GroupFormatError(f"unknown transform {op!r}")
-    res = check_r_terrace(g, entries)
-    star = res.star_indices[0] if res.star_indices else None
-    return RTerrace(g, entries, star)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +139,9 @@ def fgm_extend(base: RTerrace, w: int) -> RTerrace:
     xs = [(-s) % w for s in range(1, 2 * k + 1)]
     fs = [(2 * s) % w for s in range(1, 2 * k + 1)]
     product, entries = _fgm_assemble(base, w, xs, fs)
-    res = check_r_terrace(product, entries)
-    if res.is_r and res.star_indices:
-        j = res.star_indices[0]  # standard form: rotate the first star to 0
-        return RTerrace(product, tuple(entries[j:] + entries[:j]), 0)
-    raise ConstructionFailed(
-        "fgm_extend",
-        f"no valid row assignment for |A|={base.group.order}, w={w}",
-    )
+    # an R*-terrace by theorem, so not re-checked; entries 0, 1 and -1
+    # are (a_0, 0), (a_1, 0) and (a_last, 0), so the base's star stays at 0
+    return RTerrace(product, tuple(entries), 0)
 
 
 def fgm_extend_many(base: RTerrace, b: AbelianSpec) -> RTerrace:

@@ -17,7 +17,7 @@ from seqlatin.graceful import (
     walecki_graceful,
 )
 from seqlatin.groups import AbelianSpec, cyclic
-from seqlatin.harmonious import bghj_base, check_harm, check_hash, hash_for
+from seqlatin.harmonious import bghj_base, hash_for
 from seqlatin.latin import (
     LatinSquare,
     completeness_report,
@@ -30,6 +30,8 @@ from seqlatin.oracle import (
     d8_table,
     enumerate_graceful,
     exhaustive_sequencings,
+    naive_harmonious,
+    naive_hash_harmonious,
     q8_table,
     s3_table,
 )
@@ -39,7 +41,7 @@ from seqlatin.pipelines import (
     sequence_order,
     sequence_theorem3,
 )
-from seqlatin.rotational import check_r_terrace, fgm_extend, standardize
+from seqlatin.rotational import RTerrace, check_r_terrace, fgm_extend, make_r_terrace
 
 
 def _line(num: int, budget: float, elapsed: float, detail: str) -> None:
@@ -204,14 +206,14 @@ def test_criterion_07_matched_pairs():
     for m in range(5, 100, 2):
         g = cyclic(m)
         mp = bghj_base(g)
-        assert check_hash(g, mp.hash.entries), m
-        assert check_harm(g, mp.harm.entries), m
+        assert naive_hash_harmonious(g, mp.hash.entries), m
+        assert naive_harmonious(g, mp.harm.entries), m
     g33 = AbelianSpec((3, 3))
     mp = bghj_base(g33)
-    assert check_hash(g33, mp.hash.entries) and check_harm(g33, mp.harm.entries)
+    assert naive_hash_harmonious(g33, mp.hash.entries) and naive_harmonious(g33, mp.harm.entries)
     for g in (cyclic(15), cyclic(21), AbelianSpec((5, 5)), AbelianSpec((3, 3, 3)),
               AbelianSpec((3, 3, 5))):
-        assert check_hash(g, hash_for(g).entries), g.factors
+        assert naive_hash_harmonious(g, hash_for(g).entries), g.factors
     for m in range(5, 200, 2):
         ints = [e[0] for e in bghj_base(cyclic(m)).hash.entries]
         assert abs(ints.index(1) - ints.index(m - 2)) == 1, m
@@ -245,7 +247,9 @@ def test_criterion_08_graceful():
 
 def test_criterion_09_extension_and_star():
     t0 = time.perf_counter()
-    base = standardize(graceful_to_r_terrace(walecki_graceful(3)))
+    lift = graceful_to_r_terrace(walecki_graceful(3))
+    j = make_r_terrace(lift.group, lift.entries, require_star=True).star_index
+    base = RTerrace(lift.group, lift.entries[j:] + lift.entries[:j], 0)
     assert base.group.order == 7 and base.is_standard
     ext = fgm_extend(base, 5)
     res = check_r_terrace(ext.group, ext.entries)

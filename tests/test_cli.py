@@ -304,6 +304,16 @@ def test_graceful_over_cap(capsys):
     assert run(capsys, ["graceful", "50", "3"])[0] == 2
 
 
+def test_graceful_zigzag_over_cap(capsys, monkeypatch):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["graceful", str(10**12)])
+    assert code == 2 and out == "" and "cap 5000" in err
+    assert time.perf_counter() - t0 < 1.0
+    assert run(capsys, ["graceful", "5000"])[0] == 0
+    monkeypatch.setenv("SEQLATIN_DESK_LIMIT", "9")
+    assert run(capsys, ["graceful", "10"])[0] == 2
+
+
 def test_search_exhaustive(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"abelian": [8]}))

@@ -1,7 +1,7 @@
 import pytest
 
 from seqlatin.errors import GroupFormatError, NotCoprime, ShapeMismatch
-from seqlatin.groups import AbelianSpec, Automorphism, cyclic
+from seqlatin.groups import AbelianSpec, cyclic
 from seqlatin.harmonious import (
     Harmonious,
     HashHarmonious,
@@ -9,11 +9,10 @@ from seqlatin.harmonious import (
     ascending_harmonious,
     bghj_base,
     bghj_product,
-    check_harm,
-    check_hash,
     hash_for,
     transform_hash,
 )
+from seqlatin.oracle import naive_harmonious, naive_hash_harmonious
 
 
 def ints(entries):
@@ -21,21 +20,21 @@ def ints(entries):
 
 
 def test_check_hash_z9_example():
-    assert check_hash(cyclic(9), [(4,), (2,), (8,), (6,), (5,), (7,), (1,), (3,)])
+    assert naive_hash_harmonious(cyclic(9), [(4,), (2,), (8,), (6,), (5,), (7,), (1,), (3,)])
 
 
 def test_z3_is_not_hash_harmonious():
-    assert not check_hash(cyclic(3), [(1,), (2,)])
-    assert not check_hash(cyclic(3), [(2,), (1,)])
+    assert not naive_hash_harmonious(cyclic(3), [(1,), (2,)])
+    assert not naive_hash_harmonious(cyclic(3), [(2,), (1,)])
 
 
 def test_check_harm_z3():
-    assert check_harm(cyclic(3), [(0,), (1,), (2,)])
+    assert naive_harmonious(cyclic(3), [(0,), (1,), (2,)])
 
 
 def test_check_hash_rejects_wrong_shapes():
-    assert not check_hash(cyclic(9), [(4,), (2,)])
-    assert not check_hash(cyclic(9), [(4,), (4,), (8,), (6,), (5,), (7,), (1,), (3,)])
+    assert not naive_hash_harmonious(cyclic(9), [(4,), (2,)])
+    assert not naive_hash_harmonious(cyclic(9), [(4,), (4,), (8,), (6,), (5,), (7,), (1,), (3,)])
 
 
 def test_bghj_base_z9():
@@ -52,8 +51,8 @@ def test_bghj_base_z7():
 
 def test_bghj_base_z3_squared():
     pair = bghj_base(AbelianSpec((3, 3)))
-    assert check_hash(pair.hash.group, pair.hash.entries)
-    assert check_harm(pair.harm.group, pair.harm.entries)
+    assert naive_hash_harmonious(pair.hash.group, pair.hash.entries)
+    assert naive_harmonious(pair.harm.group, pair.harm.entries)
     assert pair.hash.entries[0] == pair.harm.entries[0]
     assert pair.hash.entries[-1] == pair.harm.entries[-1]
 
@@ -61,8 +60,8 @@ def test_bghj_base_z3_squared():
 def test_bghj_base_sweep():
     for r in range(5, 60, 2):
         pair = bghj_base(cyclic(r))
-        assert check_hash(pair.hash.group, pair.hash.entries)
-        assert check_harm(pair.harm.group, pair.harm.entries)
+        assert naive_hash_harmonious(pair.hash.group, pair.hash.entries)
+        assert naive_harmonious(pair.harm.group, pair.harm.entries)
 
 
 def test_bghj_base_rejects_even_and_z3():
@@ -85,8 +84,8 @@ def test_product_z5_z3():
     pair = bghj_product(bghj_base(cyclic(5)), ascending_harmonious(cyclic(3)))
     g = pair.hash.group
     assert g.factors == (5, 3)
-    assert check_hash(g, pair.hash.entries)
-    assert check_harm(g, pair.harm.entries)
+    assert naive_hash_harmonious(g, pair.hash.entries)
+    assert naive_harmonious(g, pair.harm.entries)
     assert pair.hash.entries[0] == pair.harm.entries[0]
     assert pair.hash.entries[-1] == pair.harm.entries[-1]
 
@@ -94,7 +93,7 @@ def test_product_z5_z3():
 def test_product_z33_z3():
     pair = bghj_product(bghj_base(AbelianSpec((3, 3))), ascending_harmonious(cyclic(3)))
     assert pair.hash.group.factors == (3, 3, 3)
-    assert check_hash(pair.hash.group, pair.hash.entries)
+    assert naive_hash_harmonious(pair.hash.group, pair.hash.entries)
 
 
 def test_product_trivial_factor_is_identity():
@@ -125,7 +124,7 @@ def test_hash_for_products():
         AbelianSpec((5, 5, 3)),
     ]:
         h = hash_for(g)
-        assert check_hash(g, h.entries)
+        assert naive_hash_harmonious(g, h.entries)
 
 
 def test_hash_for_rejects_z3_and_even():
@@ -152,10 +151,8 @@ def test_cyclic_base_has_one_and_minus_two_adjacent():
 def test_transform_scale():
     h = bghj_base(cyclic(7)).hash
     out = transform_hash(h, "scale", 2)
-    assert check_hash(h.group, out.entries)
+    assert naive_hash_harmonious(h.group, out.entries)
     assert out.entries == tuple(((2 * v[0]) % 7,) for v in h.entries)
-    by_aut = transform_hash(h, "scale", Automorphism.scalar_on(cyclic(7), 2))
-    assert by_aut.entries == out.entries
 
 
 def test_transform_rotate_zero_is_identity():
@@ -167,7 +164,7 @@ def test_transform_reverse():
     h = bghj_base(cyclic(9)).hash
     out = transform_hash(h, "reverse")
     assert out.entries == h.entries[::-1]
-    assert check_hash(h.group, out.entries)
+    assert naive_hash_harmonious(h.group, out.entries)
 
 
 def test_transform_rejects_non_unit():

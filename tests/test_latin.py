@@ -26,8 +26,6 @@ from seqlatin.latin import (
     completeness_report,
     is_directed_terrace,
     sequencing_square,
-    square_from_csv,
-    square_to_csv,
     terrace_to_complete_square,
     walecki_terrace,
 )
@@ -144,19 +142,9 @@ def test_mutation_witness_reported():
     assert rep.witness is not None
 
 
-def test_csv_round_trip():
-    sq = terrace_to_complete_square(cyclic(8), walecki_terrace(8))
-    text = square_to_csv(sq)
-    back = square_from_csv(text)
-    assert back.grid == sq.grid
-    assert back.n == sq.n
-    assert text.endswith("\n")
-    assert len(text.strip().splitlines()) == 8
-
-
 def test_report_on_out_of_range_symbols():
     # pair keys a*n + b once indexed past an n^2 list here
-    rep = completeness_report(square_from_csv("0,5\n0,5\n"))
+    rep = completeness_report(LatinSquare(2, ((0, 5), (0, 5)), (0, 1), (0, 1)))
     assert (rep.is_latin, rep.is_row_complete, rep.is_column_complete) == (False, False, True)
     assert rep.witness == (0, 5, 1, 0)
 
@@ -171,7 +159,7 @@ def test_report_keeps_colliding_pair_keys_apart():
 
 def test_report_needs_an_n_by_n_grid_to_be_latin():
     # each row and each of the three zipped columns holds {0, 1}
-    rep = completeness_report(square_from_csv("0,1,0\n1,0,1\n"))
+    rep = completeness_report(LatinSquare(2, ((0, 1, 0), (1, 0, 1)), (0, 1), (0, 1)))
     assert not rep.is_latin and not rep.is_complete
 
 

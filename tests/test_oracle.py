@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from seqlatin.errors import DeskScaleExceeded, NotFound
+from seqlatin import oracle
+from seqlatin.errors import DeskScaleExceeded
 from seqlatin.graceful import is_graceful, walecki_graceful
 from seqlatin.groups import AbelianSpec, cyclic
-from seqlatin.harmonious import check_hash, hash_for
 from seqlatin.latin import (
     completeness_report,
     is_directed_terrace,
@@ -15,14 +15,12 @@ from seqlatin.latin import (
     walecki_terrace,
 )
 from seqlatin.oracle import (
-    constrained_search,
     d8_table,
     enumerate_graceful,
     exhaustive_sequencings,
     naive_complete,
     naive_directed_terrace,
     naive_graceful,
-    naive_hash_harmonious,
     naive_r_terrace,
     q8_table,
     s3_table,
@@ -82,6 +80,31 @@ def test_sharded_matches_sequential():
     assert par.terraces == seq.terraces
 
 
+def test_pool_has_at_most_one_worker_per_shard(monkeypatch):
+    """A pool forks all its workers up front, so --jobs must not outnumber the shards."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    seq = exhaustive_sequencings(cyclic(8))
+    for jobs, want in ((5000, 7), (2, 2)):
+        par = exhaustive_sequencings(cyclic(8), jobs=jobs)
+        assert sizes.pop() == want
+        assert (par.count, par.terraces, par.exhausted) == (seq.count, seq.terraces, True)
+
+
 def test_trivial_group():
     res = exhaustive_sequencings(cyclic(2), limit=None)
     assert res.count == 1
@@ -108,8 +131,9 @@ def test_fixture_tables():
             for b in g.elements()
         )
     # Q_8 has exactly one involution, D_8 five
-    assert sum(1 for a in q8.elements() if q8.element_order(a) == 2) == 1
-    assert sum(1 for a in d8.elements() if d8.element_order(a) == 2) == 5
+    for g, want in ((q8, 1), (d8, 5)):
+        involutions = [a for a in g.elements() if a != g.identity and g.mul(a, a) == g.identity]
+        assert len(involutions) == want
 
 
 def test_enumerate_graceful_counts():
@@ -130,58 +154,6 @@ def test_enumerate_graceful_caps(monkeypatch):
         enumerate_graceful(0)
     monkeypatch.setenv("SEQLATIN_DESK_LIMIT", "9")
     assert len(enumerate_graceful(9)) > 0
-
-
-def test_constrained_search_r_terrace():
-    group = cyclic(7)
-    domain = [(x,) for x in range(1, 7)]
-
-    def distinct_diffs(prefix):
-        if len(prefix) < 2:
-            return True
-        diffs = [
-            group.sub(prefix[i + 1], prefix[i]) for i in range(len(prefix) - 1)
-        ]
-        if len(prefix) == len(domain):
-            diffs.append(group.sub(prefix[0], prefix[-1]))
-        return len(set(diffs)) == len(diffs)
-
-    found = constrained_search(domain, [distinct_diffs], seed=3)
-    assert check_r_terrace(group, found).is_r
-
-
-def test_constrained_search_deterministic():
-    domain = list(range(8))
-    pred = lambda prefix: all(a != b + 1 for a, b in zip(prefix, prefix[1:]))
-    a = constrained_search(domain, [pred], seed=5)
-    b = constrained_search(domain, [pred], seed=5)
-    assert a == b
-    c = constrained_search(domain, [pred], seed=6)
-    assert sorted(c) == sorted(a)
-
-
-def test_constrained_search_unsatisfiable():
-    domain = list(range(4))
-
-    def first_is_zero(prefix):
-        return prefix[0] == 0
-
-    def last_is_one(prefix):
-        return len(prefix) < len(domain) or prefix[-1] == 1
-
-    def zero_at_both_ends(prefix):
-        return len(prefix) < len(domain) or prefix[-1] == 0
-
-    with pytest.raises(NotFound) as exc:
-        constrained_search(domain, [first_is_zero, zero_at_both_ends])
-    assert "nodes" in str(exc.value)
-    found = constrained_search(domain, [first_is_zero, last_is_one])
-    assert found[0] == 0 and found[-1] == 1
-
-
-def test_constrained_search_domain_cap():
-    with pytest.raises(DeskScaleExceeded):
-        constrained_search(list(range(251)), [])
 
 
 def test_terrace_checkers_agree():
@@ -212,20 +184,6 @@ def test_r_terrace_checkers_agree():
         arr = elems[:]
         rng.shuffle(arr)
         assert check_r_terrace(group, arr).is_r == naive_r_terrace(group, arr)
-
-
-def test_hash_checkers_agree():
-    rng = random.Random(2)
-    group = cyclic(9)
-    elems = [(x,) for x in range(1, 9)]
-    hits = 0
-    for _ in range(300):
-        arr = elems[:]
-        rng.shuffle(arr)
-        main = check_hash(group, arr)
-        assert main == naive_hash_harmonious(group, arr)
-        hits += main
-    assert naive_hash_harmonious(group, hash_for(group).entries)
 
 
 def test_graceful_checkers_agree():

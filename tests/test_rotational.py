@@ -1,16 +1,20 @@
-"""R-terrace checking, transforms, the product construction, and search."""
+"""R-terrace checking, the product construction, and search."""
+
+import functools
 
 import pytest
 
 from seqlatin.errors import (
-    ConstructionFailed,
     GroupFormatError,
     NoStarIndex,
     NotATerrace,
     NotFound,
     ShapeMismatch,
 )
-from seqlatin.groups import AbelianSpec, Automorphism, ScalarBlock, cyclic
+from seqlatin.graceful import graceful_to_r_terrace, walecki_graceful
+from seqlatin.groups import AbelianSpec, cyclic
+from seqlatin.oracle import naive_r_terrace
+from seqlatin.pipelines import _pk_base
 from seqlatin.rotational import (
     RTerrace,
     check_r_terrace,
@@ -19,8 +23,6 @@ from seqlatin.rotational import (
     make_r_terrace,
     search_r_terrace,
     search_r_terrace_retry,
-    standardize,
-    transform,
 )
 
 Z7 = cyclic(7)
@@ -48,52 +50,12 @@ def test_make_r_terrace():
         make_r_terrace(Z7, tuple((x,) for x in (1, 2, 3, 4, 5, 6)))
 
 
-def test_sequencing():
-    t = make_r_terrace(cyclic(3), ((1,), (2,)))
-    assert t.sequencing() == ((1,), (2,))
-
-
-def test_standardize():
-    t = make_r_terrace(Z7, T7)
-    s = standardize(t)
-    assert s.entries == tuple((x,) for x in (3, 2, 5, 6, 4, 1))
-    assert s.is_standard
-    assert standardize(s).entries == s.entries
-    z3 = make_r_terrace(cyclic(3), ((1,), (2,)))
-    assert standardize(z3).entries == ((1,), (2,))
-
-
-def test_standardize_requires_star():
+def test_make_r_terrace_requires_star():
     # Z_5 has R-terraces but none with a star
     t = make_r_terrace(cyclic(5), ((1,), (2,), (4,), (3,)))
+    assert t.star_index is None
     with pytest.raises(NoStarIndex):
-        standardize(t)
-
-
-def test_transforms_preserve_validity():
-    t = make_r_terrace(Z7, T7)
-    for op, arg in (("reverse", None), ("negate", None), ("rotate", 2)):
-        out = transform(t, op, arg)
-        assert check_r_terrace(Z7, out.entries).is_r
-    psi = Automorphism((ScalarBlock(7, 3),))
-    out = transform(t, "aut", psi)
-    assert check_r_terrace(Z7, out.entries).is_r
-
-
-def test_transform_examples():
-    t = make_r_terrace(Z7, T7)
-    assert transform(t, "reverse").entries == tuple((x,) for x in (4, 6, 5, 2, 3, 1))
-    assert transform(t, "rotate", 0).entries == t.entries
-    z3 = make_r_terrace(cyclic(3), ((1,), (2,)))
-    assert transform(z3, "negate").entries == ((2,), (1,))
-
-
-def test_transform_rejects_junk():
-    t = make_r_terrace(Z7, T7)
-    with pytest.raises(GroupFormatError):
-        transform(t, "shuffle")
-    with pytest.raises(GroupFormatError):
-        transform(t, "aut", "not an automorphism")
+        make_r_terrace(t.group, t.entries, require_star=True)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +63,8 @@ def test_transform_rejects_junk():
 
 
 def std7():
-    return standardize(make_r_terrace(Z7, T7))
+    """T7 rotated to its star at 1."""
+    return RTerrace(Z7, T7[1:] + T7[:1], 0)
 
 
 def test_fgm_extend_z7_w5():
@@ -111,6 +74,31 @@ def test_fgm_extend_z7_w5():
     res = check_r_terrace(out.group, out.entries)
     assert res.is_r
     assert out.is_standard
+
+
+@functools.cache
+def fgm_base(name):
+    """Standard bases of the kinds the pipelines extend."""
+    if name in ("Z5^2", "Z7^2"):
+        return _pk_base(int(name[1]), 2, 0)[0]
+    if name == "Z45 nine":
+        return search_r_terrace_retry(
+            cyclic(45), star=True, element_orders=[(0, 5), (1, 5), (-1, 5)]
+        )
+    p = int(name[1:]) // 3  # the Walecki lift of Z_3p, rotated to its star at 2p - 1
+    lift = graceful_to_r_terrace(walecki_graceful((3 * p - 1) // 2))
+    return RTerrace(lift.group, lift.entries[2 * p - 1 :] + lift.entries[: 2 * p - 1], 0)
+
+
+@pytest.mark.parametrize("w", (5, 7, 11, 13))
+@pytest.mark.parametrize("name", ("Z5^2", "Z7^2", "Z15", "Z21", "Z33", "Z45 nine"))
+def test_fgm_extend_pipeline_bases(name, w):
+    base = fgm_base(name)
+    assert base.is_standard
+    out = fgm_extend(base, w)
+    assert out.group.factors == base.group.factors + (w,)
+    assert naive_r_terrace(out.group, out.entries)
+    assert out.is_standard and out.star_index == 0
 
 
 def test_fgm_rejects_order_3_base():

@@ -1,5 +1,6 @@
 """Package sources compile without warnings, import without sympy, hold
-no recursive closures, and keep the reference checkers independent."""
+no recursive closures, keep the reference checkers independent, and use
+every public definition outside the oracle."""
 
 import ast
 import subprocess
@@ -121,3 +122,58 @@ def test_traced_names_resolve():
             if not callable(owner):
                 missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def _public_definitions(tree: ast.Module) -> list[str]:
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def _unreached_definitions(sources: dict[str, ast.Module], traced: set[str]) -> list[str]:
+    """Public top-level definitions outside oracle.py that no other top-level
+    statement of the sources names and the tracer does not list.
+
+    An import does not count: it names a definition without using it.
+    """
+    used = set()
+    for tree in sources.values():
+        for stmt in tree.body:
+            used |= _names_used(stmt) - {getattr(stmt, "name", None)}
+    return [
+        f"{path}:{name}"
+        for path, tree in sources.items()
+        if path.startswith("src/") and not path.endswith("/oracle.py")
+        for name in _public_definitions(tree)
+        if name not in traced and name not in used
+    ]
+
+
+def test_every_public_definition_is_reached():
+    """Code that only the tests call is a second copy of a fact the package
+    already checks, or dead: it belongs in oracle.py or nowhere."""
+    root = SRC.parent
+    paths = [*SOURCES, *sorted((root / "perfbench").glob("*.py"))]
+    sources = {str(p.relative_to(root)): ast.parse(p.read_text()) for p in paths}
+    tracing = sources["perfbench/tracing.py"]
+    table = next(
+        n.value for n in tracing.body
+        if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["TRACED"]
+    )
+    traced = {part for names in ast.literal_eval(table).values() for n in names for part in n.split(".")}
+    assert _unreached_definitions(sources, traced) == []
+
+
+def test_unreached_definition_detector():
+    sources = {
+        "src/seqlatin/a.py": ast.parse("def used():\n    return 1\n\ndef unused():\n    return used()\n"),
+        "src/seqlatin/b.py": ast.parse("from .a import unused\n\ndef loop():\n    return loop()\n"),
+        "src/seqlatin/oracle.py": ast.parse("def reference():\n    pass\n"),
+        "perfbench/c.py": ast.parse("X = b.traced\n"),
+    }
+    assert _unreached_definitions(sources, {"traced"}) == [
+        "src/seqlatin/a.py:unused",
+        "src/seqlatin/b.py:loop",
+    ]
