@@ -277,7 +277,7 @@ def cmd_search(args) -> int:
     with open(args.group) as fh:
         descriptor = json.load(fh)
     group = group_from_descriptor(descriptor)
-    limit = args.limit if args.exhaustive else (args.limit or 1)
+    limit = 1 if args.limit is None and not args.exhaustive else args.limit
     res = exhaustive_sequencings(group, limit=limit, jobs=args.jobs)
     doc = {"schema": SCHEMA, "command": "search", "order": group.order}
     doc.update(res.to_json())

@@ -69,8 +69,10 @@ def mat_identity(n: int):
 
 
 def mat_pow(m: Sequence[Sequence[int]], e: int, p: int):
+    """m^e over Z_p; a negative e powers the inverse."""
     result = mat_identity(len(m))
-    base = tuple(tuple(row) for row in m)
+    base = tuple(tuple(row) for row in m) if e >= 0 else mat_inv(m, p)
+    e = abs(e)
     while e > 0:
         if e & 1:
             result = mat_mul(result, base, p)
@@ -280,14 +282,6 @@ class ScalarBlock:
     def width(self) -> int:
         return 1
 
-    @cached_property
-    def order(self) -> int:
-        j, cur = 1, self.unit
-        while cur != 1:
-            cur = (cur * self.unit) % self.modulus
-            j += 1
-        return j
-
     def is_identity_power(self, e: int) -> bool:
         return pow(self.unit, e, self.modulus) == 1
 
@@ -318,17 +312,6 @@ class MatrixBlock:
     def width(self) -> int:
         return len(self.mat)
 
-    @cached_property
-    def order(self) -> int:
-        ident = mat_identity(self.width)
-        cur, j = self.mat, 1
-        while cur != ident:
-            cur = mat_mul(cur, self.mat, self.p)
-            j += 1
-            if j > 10**7:
-                raise GroupFormatError("matrix block order did not terminate")
-        return j
-
     def is_identity_power(self, e: int) -> bool:
         return mat_pow(self.mat, e, self.p) == mat_identity(self.width)
 
@@ -337,7 +320,6 @@ class MatrixBlock:
         return {0: mat_identity(self.width), 1: self.mat}
 
     def apply_power(self, e: int, v: Sequence[int]) -> tuple[int, ...]:
-        e %= self.order
         powers = self._powers
         if e not in powers:
             powers[e] = mat_pow(self.mat, e, self.p)
@@ -362,10 +344,6 @@ class Automorphism:
     @property
     def width(self) -> int:
         return sum(b.width for b in self.blocks)
-
-    @cached_property
-    def order(self) -> int:
-        return math.lcm(*(b.order for b in self.blocks)) if self.blocks else 1
 
     def matches(self, spec: AbelianSpec) -> bool:
         moduli: list[int] = []
@@ -414,7 +392,7 @@ class SdSpec:
             raise GroupFormatError(f"s must be >= 2, got {self.s}")
         if not self.alpha.matches(self.base):
             raise GroupFormatError("automorphism blocks do not match the base group")
-        # alpha^s = 1 by fast powering: O(log s), where order steps powers
+        # alpha^s = 1 by fast powering, O(log s)
         if not all(b.is_identity_power(self.s) for b in self.alpha.blocks):
             raise OrderMismatch(f"automorphism order does not divide s={self.s}")
 
@@ -457,7 +435,7 @@ class TableGroup:
     in O(n^2 log n).
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], check: bool = True):
+    def __init__(self, rows: Sequence[Sequence[int]]):
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise GroupFormatError("table must be square and non-empty")
@@ -467,8 +445,7 @@ class TableGroup:
                 if type(x) is not int or not 0 <= x < n:
                     raise GroupFormatError(f"table entry {x!r} is not an index < {n}")
         self._identity = self._find_identity()
-        if check:
-            self._validate()
+        self._validate()
         ident = self._identity
         self._inv = [-1] * n
         for i in range(n):

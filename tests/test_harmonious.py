@@ -1,11 +1,10 @@
 import pytest
 
-from seqlatin.errors import GroupFormatError, NotCoprime, ShapeMismatch
+from seqlatin.errors import GroupFormatError, NotCoprime
 from seqlatin.groups import AbelianSpec, cyclic
 from seqlatin.harmonious import (
     Harmonious,
     HashHarmonious,
-    MatchedPair,
     ascending_harmonious,
     bghj_base,
     bghj_product,
@@ -74,10 +73,14 @@ def test_bghj_base_rejects_even_and_z3():
 
 
 def test_matched_pair_requires_shared_endpoints():
-    pair = bghj_base(cyclic(7))
-    rotated = Harmonious(pair.harm.group, pair.harm.entries[1:] + pair.harm.entries[:1])
-    with pytest.raises(ShapeMismatch):
-        MatchedPair(pair.hash, rotated)
+    # MatchedPair checks nothing: the constructions build pairs of one
+    # group whose two sequences share their first and last entries
+    pairs = [bghj_base(cyclic(r)) for r in range(5, 30, 2)] + [bghj_base(AbelianSpec((3, 3)))]
+    pairs += [bghj_product(p, ascending_harmonious(cyclic(w))) for p in pairs[:4] for w in (3, 5, 7)]
+    for pair in pairs:
+        assert pair.hash.group == pair.harm.group
+        assert pair.hash.entries[0] == pair.harm.entries[0]
+        assert pair.hash.entries[-1] == pair.harm.entries[-1]
 
 
 def test_product_z5_z3():

@@ -5,7 +5,7 @@ import math
 import pytest
 import sympy
 
-from seqlatin.errors import DeskScaleExceeded, NoSuchUnit, NotCoprime
+from seqlatin.errors import DeskScaleExceeded, NotCoprime
 from seqlatin.numtheory import (
     EVEN,
     FACTOR_LIMIT,
@@ -15,7 +15,6 @@ from seqlatin.numtheory import (
     classify_order,
     factorize,
     find_lambda,
-    find_unit_of_order,
     is_prime,
     is_primitive_root,
     mult_order,
@@ -94,30 +93,23 @@ def test_find_lambda_all_desk_primes():
         assert is_primitive_root(ratio, q)
 
 
-def test_find_unit_of_order():
-    assert find_unit_of_order(7, 3) == 2
-    assert find_unit_of_order(9, 3) == 4
-    with pytest.raises(NoSuchUnit):
-        find_unit_of_order(5, 3)
+def test_units_of_order():
+    assert units_of_order(7, 3) == [2, 4]
+    assert units_of_order(9, 3) == [4, 7]
+    assert units_of_order(5, 3) == []
 
 
-def test_find_unit_matches_brute_force():
+def test_units_of_order_match_brute_force():
     for q in (3, 5, 7):
         for m in range(5, 200, 2):
             brute = [r for r in range(2, m) if math.gcd(r, m) == 1 and mult_order(r, m) == q]
-            if brute:
-                assert find_unit_of_order(m, q) == brute[0]
-                assert units_of_order(m, q) == brute
-                assert unit_of_order_exists(m, q)
-            else:
-                assert not unit_of_order_exists(m, q)
-                with pytest.raises(NoSuchUnit):
-                    find_unit_of_order(m, q)
+            assert units_of_order(m, q) == brute
+            assert unit_of_order_exists(m, q) == bool(brute)
 
 
 def test_unit_order_is_exact():
     for m, q in ((7, 3), (9, 3), (11, 5), (29, 7), (63, 3), (121, 5)):
-        assert mult_order(find_unit_of_order(m, q), m) == q
+        assert {mult_order(r, m) for r in units_of_order(m, q)} == {q}
 
 
 # ---------------------------------------------------------------------------

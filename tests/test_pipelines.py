@@ -12,7 +12,6 @@ from seqlatin.errors import (
     DeskScaleExceeded,
     NoSuchUnit,
     NotIndependent,
-    OrderMismatch,
 )
 from seqlatin.groups import AbelianSpec, SdSpec, cyclic
 from seqlatin.latin import (
@@ -96,7 +95,8 @@ def test_nondiag_aut_example():
     assert na.companion == ((0, 4), (1, 4))
     assert na.alpha.blocks[0].mat == ((0, 4), (1, 4))
     assert na.d == 2
-    assert na.alpha.order == 3
+    block = na.alpha.blocks[0]
+    assert block.is_identity_power(3) and not block.is_identity_power(1)
 
 
 def test_nondiag_aut_power_relation():
@@ -177,34 +177,33 @@ def test_direct_pipelines_refuse_orders_over_the_cap(monkeypatch):
 
 def test_pair_transport_examples():
     g = AbelianSpec((5, 5))
-    psi = pair_transport(g, ((1, 0), (0, 1)), ((2, 0), (0, 2)))
+    psi = pair_transport(g, 5, 2, ((1, 0), (0, 1)), ((2, 0), (0, 2)))
     assert psi.blocks[0].mat == ((2, 0), (0, 2))
-    ident = pair_transport(g, ((1, 3), (2, 2)), ((1, 3), (2, 2)))
+    ident = pair_transport(g, 5, 2, ((1, 3), (2, 2)), ((1, 3), (2, 2)))
     assert ident.blocks[0].mat == ((1, 0), (0, 1))
     src, dst = ((1, 2), (3, 2)), ((4, 0), (2, 3))
-    psi = pair_transport(g, src, dst)
+    psi = pair_transport(g, 5, 2, src, dst)
     assert psi.apply(src[0]) == dst[0]
     assert psi.apply(src[1]) == dst[1]
 
 
 def test_pair_transport_cofactors_fixed():
     g = AbelianSpec((5, 5, 7))
-    psi = pair_transport(g, ((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0)))
+    psi = pair_transport(g, 5, 2, ((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0)))
     assert psi.apply((0, 0, 3)) == (0, 0, 3)
 
 
 def test_pair_transport_errors():
     g = AbelianSpec((5, 5))
     with pytest.raises(NotIndependent):
-        pair_transport(g, ((1, 0), (2, 0)), ((1, 0), (0, 1)))
-    with pytest.raises(OrderMismatch):
-        pair_transport(AbelianSpec((5, 7)), ((1, 0), (0, 1)), ((1, 0), (0, 1)))
-    with pytest.raises(OrderMismatch):
-        # order-5 pair but the leading factor is Z_7
-        pair_transport(AbelianSpec((7, 5)), ((0, 1), (0, 2)), ((0, 1), (0, 2)))
-    with pytest.raises(OrderMismatch):
-        # order-5 element outside the leading Z_5 block
-        pair_transport(AbelianSpec((5, 35)), ((1, 0), (0, 7)), ((1, 0), (0, 7)))
+        pair_transport(g, 5, 2, ((1, 0), (2, 0)), ((1, 0), (0, 1)))
+
+
+def test_pair_transport_spans_a_cofactor_p_run():
+    # B = Z_5 extends the leading Z_5 run, so psi is 3 x 3 and fixes B
+    cert = sequence_non3(5, 2, 3, AbelianSpec((5,)))
+    _assert_certificate(cert, 375)
+    assert cert.provenance["psi"] == [[4, 1, 0], [1, 1, 0], [0, 0, 1]]
 
 
 def test_non3_order_75():

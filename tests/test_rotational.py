@@ -108,6 +108,11 @@ def test_fgm_rejects_order_3_base():
         fgm_extend(base, 5)
 
 
+def test_fgm_rejects_order_1_base():
+    with pytest.raises(GroupFormatError):
+        fgm_extend(RTerrace(AbelianSpec(()), ()), 5)
+
+
 def test_fgm_rejects_bad_w():
     base = std7()
     for w in (9, 4, 3, 15):

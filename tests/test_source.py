@@ -1,6 +1,7 @@
 """Package sources compile without warnings, import without sympy, hold
-no recursive closures, keep the reference checkers independent, and use
-every public definition outside the oracle."""
+no recursive closures, keep the reference checkers independent, run the
+terrace gate only where its fact is checked, and use every public
+definition outside the oracle."""
 
 import ast
 import subprocess
@@ -101,6 +102,41 @@ def test_independence_detector():
     src = "def check(group, arr):\n    return latin.is_directed_terrace(group, compile_index(group))\n"
     used = _names_used(ast.parse(src).body[0])
     assert {"latin", "is_directed_terrace", "compile_index"} <= used
+
+
+def _mentions(sources: dict[str, ast.Module], name: str) -> set[str]:
+    """module.definition for each top-level statement, imports aside, that
+    names `name`; a statement without a name reads as module.<module>."""
+    return {
+        f"{Path(path).stem}.{getattr(stmt, 'name', '<module>')}"
+        for path, tree in sources.items()
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)) and name in _names_used(stmt)
+    }
+
+
+def test_gate_runs_only_where_its_fact_is_checked():
+    """The terrace gate is the one check of its fact: the pipelines gate each
+    certificate once, a square is built behind it, and verify checks an
+    outside certificate.  Any other caller re-checks what one of them knows."""
+    sources = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    assert _mentions(sources, "is_directed_terrace") == {
+        "pipelines._certify",
+        "latin.terrace_to_complete_square",
+        "cli.cmd_verify",
+    }
+
+
+def test_gate_mention_detector():
+    a = (
+        "from .latin import is_directed_terrace\n\n"
+        "def gate(g, t):\n    return is_directed_terrace(g, t)\n\n"
+        "def recheck(g, t):\n    return latin.is_directed_terrace(g, t)[0]\n\n"
+        "def quiet():\n    'is_directed_terrace, in words only'\n"
+    )
+    b = "class C:\n    def m(self):\n        return is_directed_terrace\n\nX = [is_directed_terrace]\n"
+    sources = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
+    assert _mentions(sources, "is_directed_terrace") == {"a.gate", "a.recheck", "b.C", "b.<module>"}
 
 
 def test_traced_names_resolve():

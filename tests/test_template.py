@@ -2,7 +2,7 @@
 
 import pytest
 
-from seqlatin.errors import ConditionsViolated, GroupFormatError, ShapeMismatch
+from seqlatin.errors import ConditionsViolated, ShapeMismatch
 from seqlatin.groups import AbelianSpec, Automorphism, ScalarBlock, SdSpec, compile_index, cyclic
 from seqlatin.harmonious import HashHarmonious
 from seqlatin.latin import is_directed_terrace
@@ -126,20 +126,21 @@ def test_checklist_flags_broken_gs():
     assert not rep.b or not rep.d
 
 
-def test_inputs_validate_shapes():
-    inputs = _inputs()
-    with pytest.raises(ShapeMismatch):
-        TemplateInputs(inputs.sd, inputs.lam, inputs.gs[:-1], inputs.hss, 1)
-    with pytest.raises(ShapeMismatch):
-        TemplateInputs(inputs.sd, inputs.lam, inputs.gs, inputs.hss[:1], 1)
-    with pytest.raises(ShapeMismatch):
-        TemplateInputs(inputs.sd, inputs.lam, inputs.gs, inputs.hss, 0)
-
-
 def test_inputs_validate_lambda():
-    inputs = _inputs()
-    with pytest.raises(GroupFormatError):
-        TemplateInputs(inputs.sd, 1, inputs.gs, inputs.hss, 1)
+    # 3 is primitive mod 5 but 3/(3-1) = 4 is not: checklist names family g
+    # without raising, and the gate refuses the arrangement
+    from seqlatin.pipelines import sequence_cyclic
+
+    cert = sequence_cyclic(5, 11)
+    group = cert.group.base
+    a = make_r_terrace(group, tuple((x,) for x in cert.provenance["r_terrace"]))
+    c = HashHarmonious(group, tuple((x,) for x in cert.provenance["hash"]))
+    inputs = theorem4_assign(a, c, cert.group, cert.provenance["lam"])
+    assert checklist(inputs).all_pass
+    bad = TemplateInputs(inputs.sd, 3, inputs.gs, inputs.hss, inputs.t)
+    assert "g" in checklist(bad).failures()
+    ok, _ = is_directed_terrace(cert.group, assemble(bad))
+    assert not ok
 
 
 def test_checklist_matches_checker_on_random_grids():
