@@ -22,7 +22,14 @@ from .errors import (
     ShapeMismatch,
 )
 from .graceful import graceful_with_first, walecki_graceful
-from .groups import AbelianSpec, SdSpec, _int, compile_index, group_from_descriptor
+from .groups import (
+    AbelianSpec,
+    SdSpec,
+    _int,
+    compile_index,
+    group_from_descriptor,
+    group_to_descriptor,
+)
 from .latin import completeness_report, is_directed_terrace, sequencing_square
 from .numtheory import classify_order
 from .oracle import exhaustive_sequencings
@@ -186,7 +193,7 @@ def cmd_latin(args) -> int:
         return 0
     doc = {"schema": SCHEMA, "command": "latin", "n": n, "grid": grid}
     if cert is not None:
-        doc["group"] = cert.to_json()["group"]
+        doc["group"] = group_to_descriptor(cert.group)
     _emit(doc, args, f"{n} x {n} complete square")
     return 0
 

@@ -13,16 +13,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from operator import itemgetter
 from typing import Optional
 
 from .errors import NotATerrace, OddOrder
 from .groups import TableGroup, compile_index
-
-
-def _as_tuple_elem(e):
-    return tuple(e) if isinstance(e, (list, tuple)) else e
 
 
 def is_directed_terrace(group, arrangement) -> tuple[bool, list[int]]:
@@ -72,21 +69,36 @@ def walecki_terrace(n: int):
 class LatinSquare:
     n: int
     grid: tuple[tuple[int, ...], ...]
-    row_order: tuple
-    col_order: tuple
+
+    @cached_property
+    def _completeness(self) -> CompletenessReport:
+        return _report(self.n, self.grid)
 
 
 def terrace_to_complete_square(group, terrace) -> LatinSquare:
     """Rows run through the terrace's elementwise inverses, columns through the terrace.
 
-    The gate runs on every call; the grid is the square cache's (see
-    _square_grid), shared by every terrace with the same quotients.
+    The gate runs on every call; the square is sequencing_square's, shared
+    by every terrace with the same quotients.
     """
     ok, quots = is_directed_terrace(group, terrace)
     if not ok:
         raise NotATerrace("row/column source must be a directed terrace")
-    seq = tuple(_as_tuple_elem(e) for e in terrace)
-    return LatinSquare(len(seq), _square_grid(group, quots), tuple(map(group.inv, seq)), seq)
+    return sequencing_square(group, quots)
+
+
+# The square cache: squares by (group, quotients), least recently used
+# first, each entry (square, cells charged).  A square and its report are
+# immutable, so every caller of an entry shares them.  The bound counts
+# cells: 8 bytes each, since cells point at the encoder's shared ints.  A
+# table group's entry is charged its table as well, because the key keeps
+# the group alive, and every entry is charged _ENTRY_CELLS for its own
+# bookkeeping (about 500 bytes), so many tiny squares stay bounded too.
+_MAX_CELLS = 4_000_000
+_ENTRY_CELLS = 64
+_squares: OrderedDict[tuple, tuple[LatinSquare, int]] = OrderedDict()
+_held = 0  # cells charged to the entries in _squares
+_lock = threading.Lock()
 
 
 def sequencing_square(group, quotients) -> LatinSquare:
@@ -96,58 +108,13 @@ def sequencing_square(group, quotients) -> LatinSquare:
     Every terrace with these quotients is a left translate a_i = a_0 b_i
     of the one that starts at the identity, b_0 = e and b_{i+1} = b_i q_i,
     and a_i^-1 a_j = b_i^-1 b_j, so b's square is the square of each of
-    them.  Rows run through b's inverses, columns through b.
-    """
-    enc = compile_index(group)
-    e = enc.indices([group.identity])[0]
-    b = _left_terrace(enc, e, quotients)
-    rows = (enc.decode(enc.quot(g, e)) for g in b)
-    grid = _square_grid(group, quotients)
-    return LatinSquare(len(b), grid, tuple(rows), tuple(map(enc.decode, b)))
+    them: cell (i, j) is the index of b_i^-1 b_j.
 
-
-def _left_terrace(enc, e, quotients) -> list[int]:
-    """Indices of the terrace b that starts at the identity (index e)."""
-    b = [e]
-    for q in quotients:
-        b.append(enc.quot(enc.quot(b[-1], e), q))  # inv(inv(b_i)) * q_i
-    return b
-
-
-def _grid(enc, e, cols):
-    """Cell (i, j) is the index of a_i^-1 a_j, for the terrace a at indices cols.
-
-    e is the identity's index.  A row is the product row of a_i^-1 read
-    at the columns' indices.
-    """
-    # itemgetter with one key returns the bare item, not a 1-tuple
-    pick = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
-    return tuple(pick(enc.row(enc.quot(c, e))) for c in cols)
-
-
-# The square cache: grids by (group, quotients), least recently used
-# first, each entry [grid, cells charged, report or None].  A grid and
-# its report are immutable, so every square built from an entry shares
-# them.  The bound counts cells: 8 bytes each, since cells point at the
-# encoder's shared ints.  A table group's entry is charged its table as
-# well, because the key keeps the group alive, and every entry is
-# charged _ENTRY_CELLS for its own bookkeeping (about 500 bytes), so
-# many tiny squares stay bounded too.
-_MAX_CELLS = 4_000_000
-_ENTRY_CELLS = 64
-_squares: OrderedDict[tuple, list] = OrderedDict()
-_by_grid: dict[int, list] = {}  # id(grid) -> its entry, which keeps the grid alive
-_held = 0  # cells charged to the entries in _squares
-_lock = threading.Lock()
-
-
-def _square_grid(group, quotients):
-    """The grid of the sequencing `quotients`, from the cache or built and stored.
-
-    AbelianSpec and SdSpec compare by value, so an equal group rebuilt
-    from its descriptor hits; a TableGroup compares by identity, so its
-    squares hit only for the same group object.  A square charged more
-    than the bound is built and returned but not stored.
+    The square comes from the cache or is built and stored.  AbelianSpec
+    and SdSpec compare by value, so an equal group rebuilt from its
+    descriptor hits; a TableGroup compares by identity, so its squares hit
+    only for the same group object.  A square charged more than the bound
+    is built and returned but not stored.
     """
     global _held
     key = (group, tuple(quotients))
@@ -158,20 +125,24 @@ def _square_grid(group, quotients):
             return entry[0]
     enc = compile_index(group)
     e = enc.indices([group.identity])[0]
-    grid = _grid(enc, e, _left_terrace(enc, e, quotients))
-    cells = len(grid) ** 2 * (2 if isinstance(group, TableGroup) else 1) + _ENTRY_CELLS
+    b = [e]
+    for q in quotients:
+        b.append(enc.quot(enc.quot(b[-1], e), q))  # inv(inv(b_i)) * q_i
+    # a row is the product row of b_i^-1 read at b's indices; itemgetter
+    # with one key returns the bare item, not a 1-tuple
+    pick = itemgetter(*b) if len(b) > 1 else lambda row: (row[e],)
+    square = LatinSquare(len(b), tuple(pick(enc.row(enc.quot(c, e))) for c in b))
+    cells = square.n**2 * (2 if isinstance(group, TableGroup) else 1) + _ENTRY_CELLS
     if cells > _MAX_CELLS:
-        return grid
+        return square
     with _lock:
         if key in _squares:  # another thread stored it first
             return _squares[key][0]
         while _held + cells > _MAX_CELLS:
-            old, old_cells, _ = _squares.popitem(last=False)[1]
-            del _by_grid[id(old)]
-            _held -= old_cells
-        _squares[key] = _by_grid[id(grid)] = [grid, cells, None]
+            _held -= _squares.popitem(last=False)[1][1]
+        _squares[key] = (square, cells)
         _held += cells
-    return grid
+    return square
 
 
 @dataclass(frozen=True)
@@ -227,14 +198,7 @@ def completeness_report(square: LatinSquare) -> CompletenessReport:
 
     Without the Latin property, completeness means the adjacent pairs are
     all distinct.  The witness is the first repeated pair of the rows, or
-    else of the columns (a, b, column, row).  The report of a cached grid
-    is computed once and kept with its cache entry.
+    else of the columns (a, b, column, row).  Each square computes its
+    report once, so a cached square's report is shared by every caller.
     """
-    grid = square.grid
-    entry = _by_grid.get(id(grid))
-    if entry is None or square.n != len(grid):
-        return _report(square.n, grid)
-    if entry[2] is None:
-        entry[2] = _report(square.n, grid)
-    return entry[2]
-
+    return square._completeness

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConditionsViolated, ShapeMismatch
+from .errors import ConditionsViolated, GroupFormatError, ShapeMismatch
 from .groups import AbElem, AbelianSpec, SdElem, SdSpec
 from .harmonious import HashHarmonious
 from .rotational import RTerrace
@@ -45,11 +45,15 @@ def middle_segment(q: int, lam: int, base: Optional[AbelianSpec] = None) -> list
 
     First coordinates are lam^i / (lam-1)^{i-1} for i = 1..q-2 followed by
     lam-1; for a doubly primitive lam their consecutive differences cover
-    Z_q \\ {0, 1} (checklist family g).
+    Z_q \\ {0, 1} (checklist family g).  A lam with lam - 1 not a unit
+    mod q, such as lam = 1, has no middle segment: GroupFormatError.
     """
     zero = base.identity if base is not None else ()
     lam %= q
-    inv = pow(lam - 1, -1, q)
+    try:
+        inv = pow(lam - 1, -1, q)
+    except ValueError:
+        raise GroupFormatError(f"lam - 1 = {lam - 1} is not a unit mod {q}") from None
     firsts = [pow(lam, i, q) * pow(inv, i - 1, q) % q for i in range(1, q - 1)]
     firsts.append((lam - 1) % q)
     return [(x, zero) for x in firsts]
@@ -142,9 +146,13 @@ def checklist(inputs: TemplateInputs) -> ChecklistReport:
     fvals.append(gs[t])
     fam_f = Counter(fvals) == nonzero
 
-    mids = [x for x, _ in middle_segment(q, lam, A)]
-    diffs = {(mids[i + 1] - mids[i]) % q for i in range(q - 2)}
-    fam_g = set(mids) == set(range(1, q)) and diffs == set(range(2, q))
+    try:
+        mids = [x for x, _ in middle_segment(q, lam, A)]
+    except GroupFormatError:
+        fam_g = False
+    else:
+        diffs = {(mids[i + 1] - mids[i]) % q for i in range(q - 2)}
+        fam_g = set(mids) == set(range(1, q)) and diffs == set(range(2, q))
 
     return ChecklistReport(fam_a, fam_b, fam_c, fam_d, tuple(fam_e), fam_f, fam_g)
 

@@ -4,7 +4,8 @@ Each order's result is written in a canonical form (a certificate as
 sorted compact JSON of to_json(), anything else as its repr, each
 followed by a newline) and hashed with blake2b-128, one digest per block
 of 250 orders.  The CLI digests cover exit code and stdout of classify,
-sequence --order and verify of that sequence output.  The digests were
+sequence --order and verify of that sequence output, and of latin --order
+as JSON and as CSV.  The digests were
 recorded before the pipelines dropped their internal re-checks, so a
 refactor that changes a single byte of any result fails here.
 """
@@ -93,3 +94,29 @@ def cli_digest(order: int, tmp_path, capsys) -> str:
 @pytest.mark.parametrize("order", sorted(CLI_DIGESTS))
 def test_cli_corpus(order, tmp_path, capsys):
     assert cli_digest(order, tmp_path, capsys) == CLI_DIGESTS[order]
+
+
+# exit code and stdout of latin --order n, as JSON and as CSV: trivial,
+# negative, cyclic, non3, even and theorem-3 orders
+LATIN_DIGESTS = {
+    1: "d3e6fea0d4b6be36f615d87b474c3702",
+    9: "435c8a16b22b2d1f7e98a35519a967aa",
+    21: "f469228608fd5d78e0135caf2510c1bd",
+    75: "e9e90e1c0bc55e4501dbcd08583dd398",
+    100: "bae3589797825c69693f002760b364c3",
+    225: "d6b253f911473a220859f5d8e26082f8",
+}
+
+
+def latin_digest(order: int, capsys) -> str:
+    h = hashlib.blake2b(digest_size=16)
+    for fmt in ([], ["--format", "csv"]):
+        code = main(["latin", "--order", str(order), *fmt])
+        out = capsys.readouterr().out
+        h.update(f"latin {' '.join(fmt)} {code}\n{out}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("order", sorted(LATIN_DIGESTS))
+def test_latin_cli_corpus(order, capsys):
+    assert latin_digest(order, capsys) == LATIN_DIGESTS[order]

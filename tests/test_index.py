@@ -159,4 +159,3 @@ def test_table_group_squares_golden():
 def test_trivial_group_square():
     square = terrace_to_complete_square(AbelianSpec(()), [()])
     assert square.grid == ((0,),)
-    assert square.row_order == square.col_order == ((),)

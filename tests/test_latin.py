@@ -16,6 +16,8 @@ from seqlatin.cli import main
 from seqlatin.errors import NotATerrace, OddOrder
 from seqlatin.groups import (
     AbelianSpec,
+    SdIndex,
+    SdSpec,
     TableGroup,
     cyclic,
     group_from_descriptor,
@@ -75,8 +77,6 @@ def test_square_shape_and_orders():
     sq = terrace_to_complete_square(cyclic(n), walecki_terrace(n))
     assert sq.n == n
     assert len(sq.grid) == n and all(len(row) == n for row in sq.grid)
-    assert sq.col_order == walecki_terrace(n)
-    assert sq.row_order[0] == (0,)
 
 
 def test_square_rejects_non_terrace():
@@ -144,14 +144,14 @@ def test_mutation_witness_reported():
 
 def test_report_on_out_of_range_symbols():
     # pair keys a*n + b once indexed past an n^2 list here
-    rep = completeness_report(LatinSquare(2, ((0, 5), (0, 5)), (0, 1), (0, 1)))
+    rep = completeness_report(LatinSquare(2, ((0, 5), (0, 5))))
     assert (rep.is_latin, rep.is_row_complete, rep.is_column_complete) == (False, False, True)
     assert rep.witness == (0, 5, 1, 0)
 
 
 def test_report_keeps_colliding_pair_keys_apart():
     # (0, 2) and (1, 0) share the key a*n + b = 2 at n = 2, yet differ
-    rep = completeness_report(LatinSquare(2, ((0, 2), (1, 0)), (0, 1), (0, 1)))
+    rep = completeness_report(LatinSquare(2, ((0, 2), (1, 0))))
     assert not rep.is_latin
     assert rep.is_row_complete and rep.is_column_complete
     assert rep.witness is None
@@ -159,7 +159,7 @@ def test_report_keeps_colliding_pair_keys_apart():
 
 def test_report_needs_an_n_by_n_grid_to_be_latin():
     # each row and each of the three zipped columns holds {0, 1}
-    rep = completeness_report(LatinSquare(2, ((0, 1, 0), (1, 0, 1)), (0, 1), (0, 1)))
+    rep = completeness_report(LatinSquare(2, ((0, 1, 0), (1, 0, 1))))
     assert not rep.is_latin and not rep.is_complete
 
 
@@ -240,7 +240,7 @@ def _variants(grid):
 
 def _report_fields(grid):
     n = len(grid)
-    square = LatinSquare(n, tuple(map(tuple, grid)), tuple(range(n)), tuple(range(n)))
+    square = LatinSquare(n, tuple(map(tuple, grid)))
     return completeness_report(square), keyset_report(square)
 
 
@@ -309,7 +309,6 @@ def test_report_of_order_512_peaks_below_8_mb():
 def cache(monkeypatch):
     """An empty square cache for the test, the process's own restored after."""
     monkeypatch.setattr(latin, "_squares", OrderedDict())
-    monkeypatch.setattr(latin, "_by_grid", {})
     monkeypatch.setattr(latin, "_held", 0)
     return monkeypatch
 
@@ -319,7 +318,7 @@ def _walecki_square(n, group=None):
 
 
 def _cached_orders():
-    return [len(entry[0]) for entry in latin._squares.values()]
+    return [entry[0].n for entry in latin._squares.values()]
 
 
 def test_cache_repeat_returns_the_same_grid(cache):
@@ -346,11 +345,45 @@ def test_cache_left_translate_shares_grid_and_report(cache):
     translate = tuple(((x + 5) % n,) for (x,) in walecki_terrace(n))
     built = terrace_to_complete_square(cyclic(n), translate)
     seq = sequencing_square(cyclic(n), quots)
-    assert built.grid is seq.grid
-    assert built.col_order == translate and seq.col_order == walecki_terrace(n)
-    assert built.row_order != seq.row_order
+    # a hit, through either builder, returns the cached square itself
+    assert seq is built and _walecki_square(n) is built
     assert completeness_report(built) is completeness_report(seq)
     assert completeness_report(seq).is_complete
+    assert _cached_orders() == [n]
+
+
+def test_each_square_reports_once(cache):
+    calls = []
+    report = latin._report
+
+    def counted(n, grid):
+        calls.append(n)
+        return report(n, grid)
+
+    cache.setattr(latin, "_report", counted)
+    square = _walecki_square(12)
+    first = completeness_report(square)
+    assert completeness_report(square) is first
+    assert completeness_report(_walecki_square(12)) is first
+    assert calls == [12]
+    copy = dataclasses.replace(square, grid=tuple(list(square.grid)))
+    assert copy is not square
+    assert completeness_report(copy) == first and completeness_report(copy) is not first
+    assert calls == [12, 12]
+
+
+def test_semidirect_hit_neither_inverts_nor_decodes(cache):
+    cert = sequence_cyclic(3, 7)
+    square = terrace_to_complete_square(cert.group, cert.terrace)
+    translate = [cert.group.mul((1, (2,)), a) for a in cert.terrace]
+
+    def refuse(*args):
+        raise AssertionError("a cache hit rebuilt part of its square")
+
+    cache.setattr(SdSpec, "inv", refuse)
+    cache.setattr(SdIndex, "decode", refuse)
+    assert terrace_to_complete_square(cert.group, translate) is square
+    assert sequencing_square(cert.group, cert.quotients) is square
 
 
 def test_cache_still_runs_the_gate(cache):
@@ -372,7 +405,6 @@ def test_cache_evicts_least_recently_used_within_the_bound(cache):
     charged = [entry[1] for entry in latin._squares.values()]
     assert latin._held == sum(charged) <= latin._MAX_CELLS
     assert sum(n * n for n in _cached_orders()) <= latin._MAX_CELLS
-    assert set(latin._by_grid) == {id(entry[0]) for entry in latin._squares.values()}
 
 
 def test_cache_does_not_store_an_over_bound_square(cache):
@@ -449,4 +481,3 @@ def test_cache_under_threads_keeps_its_books(cache):
     assert failures == []
     charged = [entry[1] for entry in latin._squares.values()]
     assert latin._held == sum(charged) <= latin._MAX_CELLS
-    assert set(latin._by_grid) == {id(entry[0]) for entry in latin._squares.values()}

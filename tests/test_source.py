@@ -1,7 +1,7 @@
 """Package sources compile without warnings, import without sympy, hold
 no recursive closures, keep the reference checkers independent, run the
-terrace gate only where its fact is checked, and use every public
-definition outside the oracle."""
+terrace gate only where its fact is checked, build squares in one place,
+and use every public definition outside the oracle."""
 
 import ast
 import subprocess
@@ -137,6 +137,39 @@ def test_gate_mention_detector():
     b = "class C:\n    def m(self):\n        return is_directed_terrace\n\nX = [is_directed_terrace]\n"
     sources = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
     assert _mentions(sources, "is_directed_terrace") == {"a.gate", "a.recheck", "b.C", "b.<module>"}
+
+
+def _callers(sources: dict[str, ast.Module], name: str) -> set[str]:
+    """module.definition for each top-level statement that calls `name`, bare
+    or as an attribute; naming it without a call, as in an annotation, does
+    not count."""
+    return {
+        f"{Path(path).stem}.{getattr(stmt, 'name', '<module>')}"
+        for path, tree in sources.items()
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_squares_are_built_only_by_sequencing_square():
+    """One builder: every LatinSquare the package makes is sequencing_square's,
+    so every square is the cached one of its design and carries its report."""
+    sources = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    assert _callers(sources, "LatinSquare") == {"latin.sequencing_square"}
+
+
+def test_square_caller_detector():
+    a = (
+        "from .latin import LatinSquare\n\n"
+        "def build(n, grid) -> LatinSquare:\n    return LatinSquare(n, grid)\n\n"
+        "def rebuild(sq):\n    return latin.LatinSquare(sq.n, sq.grid)\n\n"
+        "def typed(sq: LatinSquare) -> 'LatinSquare':\n    return [LatinSquare]\n"
+    )
+    b = "class C:\n    def m(self):\n        return LatinSquare(1, ((0,),))\n\nX = LatinSquare(0, ())\n"
+    sources = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
+    assert _callers(sources, "LatinSquare") == {"a.build", "a.rebuild", "b.C", "b.<module>"}
 
 
 def test_traced_names_resolve():

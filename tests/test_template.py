@@ -2,7 +2,7 @@
 
 import pytest
 
-from seqlatin.errors import ConditionsViolated, ShapeMismatch
+from seqlatin.errors import ConditionsViolated, GroupFormatError, ShapeMismatch
 from seqlatin.groups import AbelianSpec, Automorphism, ScalarBlock, SdSpec, compile_index, cyclic
 from seqlatin.harmonious import HashHarmonious
 from seqlatin.latin import is_directed_terrace
@@ -141,6 +141,25 @@ def test_inputs_validate_lambda():
     assert "g" in checklist(bad).failures()
     ok, _ = is_directed_terrace(cert.group, assemble(bad))
     assert not ok
+
+
+def test_lambda_one_has_no_middle_segment():
+    # lam = 1 mod q leaves lam - 1 without an inverse: checklist reports
+    # family g, and laying the template out raises GroupFormatError
+    from seqlatin.pipelines import sequence_cyclic
+
+    cert = sequence_cyclic(5, 11)
+    group = cert.group.base
+    a = make_r_terrace(group, tuple((x,) for x in cert.provenance["r_terrace"]))
+    c = HashHarmonious(group, tuple((x,) for x in cert.provenance["hash"]))
+    inputs = theorem4_assign(a, c, cert.group, cert.provenance["lam"])
+    for lam in (1, 6):
+        bad = TemplateInputs(inputs.sd, lam, inputs.gs, inputs.hss, inputs.t)
+        assert "g" in checklist(bad).failures()
+        with pytest.raises(GroupFormatError):
+            assemble(bad)
+    with pytest.raises(GroupFormatError):
+        middle_segment(5, 1)
 
 
 def test_checklist_matches_checker_on_random_grids():
