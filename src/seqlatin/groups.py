@@ -163,7 +163,7 @@ class AbelianSpec:
 
     An empty factor list is the trivial group with single element ().
     Elements enumerate in mixed-radix order, leftmost coordinate most
-    significant, so index_of is the mixed-radix value.
+    significant, so an element's index is its mixed-radix value.
     """
 
     factors: tuple[int, ...]
@@ -190,13 +190,6 @@ class AbelianSpec:
     def elements(self) -> Iterator[AbElem]:
         return itertools.product(*(range(m) for m in self.factors))
 
-    def reduce(self, v: Sequence[int]) -> AbElem:
-        if len(v) != len(self.factors):
-            raise ShapeMismatch(
-                f"element of length {len(v)} in group with {len(self.factors)} factors"
-            )
-        return tuple(x % m for x, m in zip(v, self.factors))
-
     def add(self, a: Sequence[int], b: Sequence[int]) -> AbElem:
         self._check(a), self._check(b)
         return tuple((x + y) % m for x, y, m in zip(a, b, self.factors))
@@ -219,13 +212,6 @@ class AbelianSpec:
 
     def inv(self, a):
         return self.neg(a)
-
-    def index_of(self, a: Sequence[int]) -> int:
-        self._check(a)
-        idx = 0
-        for x, m in zip(a, self.factors):
-            idx = idx * m + (x % m)
-        return idx
 
     def element_order(self, a: Sequence[int]) -> int:
         self._check(a)
@@ -555,8 +541,8 @@ class AbelianIndex:
         """index(e) for every e, or None when one is not an element.
 
         The strict map for outside input: a coordinate outside 0..m-1 is
-        not an element (index_of would reduce it mod m), and an element
-        of the wrong length raises ShapeMismatch.
+        not an element and is not reduced mod m, and an element of the
+        wrong length raises ShapeMismatch.
         """
         elems = list(elems)
         factors = self._spec.factors
@@ -633,7 +619,7 @@ class SdIndex:
                 images = [b.unit * x % b.modulus for x in range(b.modulus)]
             else:
                 sub = AbelianSpec((b.p,) * b.width)
-                images = [sub.index_of(b.apply_power(1, v)) for v in sub.elements()]
+                images = AbelianIndex(sub).indices(b.apply_power(1, v) for v in sub.elements())
             once = [p * len(images) + t for p in once for t in images]
         twists = [list(range(self._na))]
         for _ in range(1, self._s):

@@ -438,7 +438,7 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
         width += 1
     h0 = hash_for(A)
     vals = [tuple(e) for e in h0.entries]
-    one = A.reduce((1,) + (0,) * (len(A.factors) - 1))
+    one = (1,) + (0,) * (len(A.factors) - 1)
     minus2 = A.neg(A.scale(2, one))
     failures = []
     for c1, clast in ((minus2, one), (one, minus2)):

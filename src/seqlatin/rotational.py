@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 
 from .desk import desk_cap
 from .errors import (
+    DeskScaleExceeded,
     GroupFormatError,
     NoStarIndex,
     NotATerrace,
     NotFound,
-    ShapeMismatch,
 )
 from .groups import AbElem, AbelianSpec
 
@@ -84,46 +84,15 @@ def make_r_terrace(
 # factor coprime to 3
 
 
-def _fgm_streams(base: RTerrace, w: int):
-    """First-coordinate stream and the slots of the second-coordinate rows.
-
-    First coordinates: the base entries once, then k blocks repeating the
-    base with a doubled head, then k more with the head zeroed.  Second
-    coordinates: zeros under the base prefix, then 2k rows of w-values
-    straddling the block boundaries by one position, then a final zero.
-    """
-    a = base.entries
-    m = len(a) + 1
-    k = (w - 1) // 2
-    first: list[AbElem] = list(a)
-    for _ in range(k):
-        first += [a[0], a[0]] + list(a[1:])
-    for _ in range(k):
-        first += [base.group.identity, base.group.identity] + list(a[1:])
-    return first, m, k
-
-
-def _fgm_second(m: int, k: int, xs: Sequence[int], fs: Sequence[int]) -> list[int]:
-    rows: list[int] = [0] * (m - 2)
-    w = 2 * k + 1
-    for sigma in range(1, 2 * k + 1):
-        x = xs[sigma - 1] % w
-        row = [x if j % 2 == 0 else (-x) % w for j in range(m - 1)]
-        row.append(fs[sigma - 1] % w)
-        rows += row
-    rows.append(0)
-    return rows
-
-
-def _fgm_assemble(base: RTerrace, w: int, xs, fs) -> tuple[AbelianSpec, list[AbElem]]:
-    first, m, k = _fgm_streams(base, w)
-    second = _fgm_second(m, k, xs, fs)
-    product = AbelianSpec(base.group.factors + (w,))
-    return product, [u + (z,) for u, z in zip(first, second)]
-
-
 def fgm_extend(base: RTerrace, w: int) -> RTerrace:
-    """Standard R*-terrace of A x Z_w from a standard one of A (3 does not divide w)."""
+    """Standard R*-terrace of A x Z_w from a standard one of A (3 does not divide w).
+
+    First coordinates: the base entries a once, then k = (w-1)/2 copies of
+    a with its head doubled, then k copies with the doubled head zeroed.
+    Second coordinates: |A|-2 zeros, then for s = 1..2k a row of |A|-1
+    values alternating -s, s and closed by 2s, then a final zero; each
+    row straddles a block boundary by one position.
+    """
     if w < 5 or w % 2 == 0 or w % 3 == 0:
         raise GroupFormatError(f"extension factor must be odd, >= 5, coprime to 3, got {w}")
     if base.group.order % 2 == 0:
@@ -135,13 +104,17 @@ def fgm_extend(base: RTerrace, w: int) -> RTerrace:
         raise GroupFormatError("base group of order 3 has no pair-shaped extension")
     if not base.entries or not base.is_standard:  # order 1 has no star
         raise GroupFormatError("base terrace must be standard (star at position 0)")
-    k = (w - 1) // 2
-    xs = [(-s) % w for s in range(1, 2 * k + 1)]
-    fs = [(2 * s) % w for s in range(1, 2 * k + 1)]
-    product, entries = _fgm_assemble(base, w, xs, fs)
+    a, zero = base.entries, base.group.identity
+    m, k = len(a) + 1, (w - 1) // 2
+    first = list(a) + [a[0], *a] * k + [zero, zero, *a[1:]] * k
+    second = [0] * (m - 2)
+    for s in range(1, 2 * k + 1):
+        second += [-s % w, s] * ((m - 1) // 2) + [2 * s % w]
+    second.append(0)
+    product = AbelianSpec(base.group.factors + (w,))
     # an R*-terrace by theorem, so not re-checked; entries 0, 1 and -1
     # are (a_0, 0), (a_1, 0) and (a_last, 0), so the base's star stays at 0
-    return RTerrace(product, tuple(entries), 0)
+    return RTerrace(product, tuple(u + (z,) for u, z in zip(first, second)), 0)
 
 
 def fgm_extend_many(base: RTerrace, b: AbelianSpec) -> RTerrace:
@@ -183,7 +156,7 @@ def search_r_terrace(
     cap = desk_cap(250)
     m = group.order
     if m > cap:
-        raise ShapeMismatch(f"group order {m} exceeds search cap {cap}")
+        raise DeskScaleExceeded(f"group order {m} exceeds search cap {cap}")
     if m % 2 == 0:
         raise GroupFormatError("R-terrace search needs odd group order")
     if m == 1:

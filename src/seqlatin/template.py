@@ -1,10 +1,10 @@
 r"""Block template for directed terraces of semidirect products Z_q x| A.
 
-The proposed terrace runs: a prefix (0, g_1..g_t), then m-1 blocks whose
+The proposed terrace runs: a prefix (0, g_1), then m-1 blocks whose
 first coordinates walk 1, lam^{q-2}, ..., lam while the second coordinates
 read a grid h_{ij}, then a middle run with zero second coordinates whose
 first coordinates burn through Z_q \ {0, 1}, then the suffix
-(0, g_{t+1}..g_m).  A short checklist of coverage conditions on the g and
+(0, g_2..g_m).  A short checklist of coverage conditions on the g and
 h families is equivalent to the assembled arrangement being a directed
 terrace; the theorem-4 assignment fills the grid from an R-terrace of A
 and a #-harmonious sequence so that the checklist passes by construction.
@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConditionsViolated, GroupFormatError, ShapeMismatch
-from .groups import AbElem, AbelianSpec, SdElem, SdSpec
+from .groups import AbElem, SdElem, SdSpec
 from .harmonious import HashHarmonious
 from .rotational import RTerrace
 
@@ -32,7 +31,6 @@ class TemplateInputs:
     lam: int
     gs: tuple[AbElem, ...]
     hss: tuple[tuple[AbElem, ...], ...]
-    t: int
 
 
 def first_coordinates(q: int, lam: int) -> list[int]:
@@ -40,15 +38,15 @@ def first_coordinates(q: int, lam: int) -> list[int]:
     return [1] + [pow(lam, q - i, q) for i in range(2, q)]
 
 
-def middle_segment(q: int, lam: int, base: Optional[AbelianSpec] = None) -> list[SdElem]:
-    """The q-1 zero-second-coordinate entries between the blocks and the suffix.
+def middle_segment(q: int, lam: int) -> list[int]:
+    """First coordinates of the q-1 entries between the blocks and the suffix.
 
-    First coordinates are lam^i / (lam-1)^{i-1} for i = 1..q-2 followed by
-    lam-1; for a doubly primitive lam their consecutive differences cover
-    Z_q \\ {0, 1} (checklist family g).  A lam with lam - 1 not a unit
-    mod q, such as lam = 1, has no middle segment: GroupFormatError.
+    They are lam^i / (lam-1)^{i-1} for i = 1..q-2 followed by lam-1, and
+    the entries' second coordinates are zero; for a doubly primitive lam
+    the consecutive differences cover Z_q \\ {0, 1} (checklist family g).
+    A lam with lam - 1 not a unit mod q, such as lam = 1, has no middle
+    segment: GroupFormatError.
     """
-    zero = base.identity if base is not None else ()
     lam %= q
     try:
         inv = pow(lam - 1, -1, q)
@@ -56,19 +54,19 @@ def middle_segment(q: int, lam: int, base: Optional[AbelianSpec] = None) -> list
         raise GroupFormatError(f"lam - 1 = {lam - 1} is not a unit mod {q}") from None
     firsts = [pow(lam, i, q) * pow(inv, i - 1, q) % q for i in range(1, q - 1)]
     firsts.append((lam - 1) % q)
-    return [(x, zero) for x in firsts]
+    return firsts
 
 
 def assemble(inputs: TemplateInputs) -> tuple[SdElem, ...]:
     """Lay the template out in order; makes no validity promise."""
     sd = inputs.sd
-    q, m, t = sd.s, sd.base.order, inputs.t
+    q, m, zero = sd.s, sd.base.order, sd.base.identity
     fcs = first_coordinates(q, inputs.lam)
-    out: list[SdElem] = [(0, g) for g in inputs.gs[:t]]
+    out: list[SdElem] = [(0, inputs.gs[0])]
     for j in range(m - 1):
         out.extend((fcs[i], inputs.hss[i][j]) for i in range(q - 1))
-    out.extend(middle_segment(q, inputs.lam, sd.base))
-    out.extend((0, g) for g in inputs.gs[t:])
+    out.extend((x, zero) for x in middle_segment(q, inputs.lam))
+    out.extend((0, g) for g in inputs.gs[1:])
     return tuple(out)
 
 
@@ -112,7 +110,7 @@ def checklist(inputs: TemplateInputs) -> ChecklistReport:
     (b) the g values cover A; (c) each h row covers A minus zero; (d) the
     g differences with -h_{q-1,m-1} substituted at the junction cover A
     minus zero; (e) each cross-row difference family covers A minus zero;
-    (f) the block-to-block junctions closed by g_{t+1} cover A minus
+    (f) the block-to-block junctions closed by g_2 cover A minus
     zero; (g) the middle segment's first coordinates run through Z_q
     minus zero with consecutive differences covering Z_q minus {0, 1}.
     """
@@ -120,18 +118,17 @@ def checklist(inputs: TemplateInputs) -> ChecklistReport:
     A = sd.base
     alpha = sd.alpha
     q = sd.s
-    m, t, lam = A.order, inputs.t, inputs.lam % q
+    m, lam = A.order, inputs.lam % q
     gs, hss = inputs.gs, inputs.hss
     nonzero = Counter(e for e in A.elements() if e != A.identity)
     full = Counter(A.elements())
 
-    fam_a = hss[0][0] == alpha.apply(gs[t - 1])
+    fam_a = hss[0][0] == alpha.apply(gs[0])
     fam_b = Counter(gs) == full
     fam_c = tuple(Counter(row) == nonzero for row in hss)
 
-    dvals = [A.sub(gs[i + 1], gs[i]) for i in range(t - 1)]
-    dvals.append(A.neg(hss[q - 2][m - 2]))
-    dvals.extend(A.sub(gs[i + 1], gs[i]) for i in range(t, m - 1))
+    dvals = [A.neg(hss[q - 2][m - 2])]
+    dvals.extend(A.sub(gs[i + 1], gs[i]) for i in range(1, m - 1))
     fam_d = Counter(dvals) == nonzero
 
     fcs = first_coordinates(q, lam)
@@ -143,11 +140,11 @@ def checklist(inputs: TemplateInputs) -> ChecklistReport:
 
     exp_f = (1 - lam) % q
     fvals = [A.sub(hss[0][j + 1], alpha.apply_power(exp_f, hss[q - 2][j])) for j in range(m - 2)]
-    fvals.append(gs[t])
+    fvals.append(gs[1])
     fam_f = Counter(fvals) == nonzero
 
     try:
-        mids = [x for x, _ in middle_segment(q, lam, A)]
+        mids = middle_segment(q, lam)
     except GroupFormatError:
         fam_g = False
     else:
@@ -160,7 +157,7 @@ def checklist(inputs: TemplateInputs) -> ChecklistReport:
 def theorem4_assign(
     a: RTerrace, c: HashHarmonious, sd: SdSpec, lam: int
 ) -> TemplateInputs:
-    """Fill the template from an R-terrace and a #-harmonious sequence with t=1.
+    """Fill the template from an R-terrace and a #-harmonious sequence.
 
     Requires the two endpoint conditions:
         a_1 = c_1 + c_{m-1} - alpha^{q-1}(c_1)
@@ -188,12 +185,6 @@ def theorem4_assign(
     if failures:
         raise ConditionsViolated(failures)
     gs = (shift,) + tuple(A.add(e, shift) for e in a.entries)
-    rows = []
-    for i in range(1, q):
-        if i % 2 == 1:
-            rows.append(tuple(c.entries))
-        else:
-            rows.append(
-                tuple(A.neg(alpha.apply_power((lam - 1) % q, cj)) for cj in c.entries)
-            )
-    return TemplateInputs(sd, lam, gs, tuple(rows), 1)
+    odd = tuple(c.entries)
+    even = tuple(A.neg(alpha.apply_power((lam - 1) % q, cj)) for cj in c.entries)
+    return TemplateInputs(sd, lam, gs, tuple(odd if i % 2 else even for i in range(1, q)))

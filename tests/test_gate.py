@@ -159,7 +159,6 @@ def test_wrong_length_element_raises(name):
 def test_strict_map_does_not_reduce():
     group = AbelianSpec((3, 5))
     enc = compile_index(group)
-    assert group.index_of((4, 7)) == group.index_of((1, 2))
-    assert enc.indices([(1, 2)]) == [group.index_of((1, 2))]
+    assert enc.indices([(1, 2)]) == [7]
     assert enc.indices([(1, 2), (4, 7)]) is None
     assert enc.indices([(1, -1)]) is None

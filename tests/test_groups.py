@@ -67,10 +67,10 @@ def test_enumeration_order():
     # rightmost coordinate moves fastest
     g = AbelianSpec((2, 3))
     assert list(g.elements()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    decode = compile_index(g).decode
+    index = compile_index(g)
+    assert index.indices(g.elements()) == list(range(g.order))
     for i, x in enumerate(g.elements()):
-        assert g.index_of(x) == i
-        assert decode(i) == x
+        assert index.decode(i) == x
 
 
 def test_element_order():
@@ -286,9 +286,8 @@ def test_sd_alpha_check_does_not_step_powers():
 
 def table_from_abelian(spec):
     els = list(spec.elements())
-    return TableGroup(
-        [[spec.index_of(spec.add(a, b)) for b in els] for a in els]
-    )
+    index = compile_index(spec)
+    return TableGroup([index.indices(spec.add(a, b) for b in els) for a in els])
 
 
 def test_table_round_trip_z6():

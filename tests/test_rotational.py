@@ -5,11 +5,11 @@ import functools
 import pytest
 
 from seqlatin.errors import (
+    DeskScaleExceeded,
     GroupFormatError,
     NoStarIndex,
     NotATerrace,
     NotFound,
-    ShapeMismatch,
 )
 from seqlatin.graceful import graceful_to_r_terrace, walecki_graceful
 from seqlatin.groups import AbelianSpec, cyclic
@@ -241,7 +241,7 @@ def test_search_node_budget():
 
 def test_search_desk_cap(monkeypatch):
     monkeypatch.setenv("SEQLATIN_DESK_LIMIT", "250")
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DeskScaleExceeded):
         search_r_terrace(cyclic(251))
 
 

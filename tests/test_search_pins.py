@@ -5,11 +5,16 @@ Z_5^2 with independent ends that `sequence_non3(5, 2, q, seed=s)` starts
 from (seeds s..s+7), and the theorem-3 nine certificates of p=5, whose
 provenance carries the searched R*-terrace of Z_45 with elements of
 order 5 at positions 0, 1 and -1.  The graceful digests cover
-`graceful_with_first(k, x)` for every 1 <= x <= k <= 40.  Each value is
+`graceful_with_first(k, x)` for every 1 <= x <= k <= 40.  The product
+digests cover `fgm_extend(base, w)` for the odd widths 5..29 coprime to
+3 over nine bases: the searched Z_5^2 base, the Walecki lifts of Z_15,
+Z_21, Z_33 and Z_39 rotated to their star as `sequence_theorem3` does,
+and each lift extended by 5.  Each value is
 written as its repr (a certificate as sorted compact JSON of to_json())
-and hashed with blake2b-128; the digests were recorded before the
+and hashed with blake2b-128; the search digests were recorded before the
 searches became loops, so a change to one shuffle draw, candidate order
-or node count fails here.
+or node count fails here, and the product digests before fgm_extend
+lost its stream helpers.
 """
 
 import hashlib
@@ -17,8 +22,9 @@ import json
 
 import pytest
 
-from seqlatin.graceful import graceful_with_first
+from seqlatin.graceful import graceful_to_r_terrace, graceful_with_first, walecki_graceful
 from seqlatin.pipelines import _pk_base, sequence_theorem3
+from seqlatin.rotational import RTerrace, fgm_extend
 
 SQUARE_BASE_DIGESTS = [
     "dbd1324399c546d071d4da355fa3d28c",  # seed 0
@@ -53,6 +59,20 @@ GRACEFUL_DIGESTS = [
     "af76a1108d5acca33da17b8b97c68f78",  # k 31..40
 ]
 
+FGM_WIDTHS = (5, 7, 11, 13, 17, 19, 23, 25, 29)
+
+FGM_DIGESTS = {
+    "z5sq": "ea968570c8359895fe5edb205b3ef42a",
+    "lift15": "38c083cca924442d16745c704e699185",
+    "lift21": "5d1c28c0c242943ca28cd7077f976de2",
+    "lift33": "c60d63dbbb2bb2988cc6fdabadc38047",
+    "lift39": "e2cf0ee9e9dc9f84a83150e2983810c8",
+    "lift15x5": "45bfb06cc121432e751148d7dbaf9076",
+    "lift21x5": "af3475da329092e0ec4f1b2ce585d39c",
+    "lift33x5": "762636938483330cf70dad0e500e6c57",
+    "lift39x5": "57be8ef6e09f201357aa8e2bd8c89aaa",
+}
+
 
 def digest(text: str) -> str:
     return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
@@ -78,3 +98,27 @@ def test_graceful_with_first(block):
         for x in range(1, k + 1)
     )
     assert digest(text) == GRACEFUL_DIGESTS[block]
+
+
+def _lift(p: int) -> RTerrace:
+    """The Walecki lift of Z_3p rotated to its star, as sequence_theorem3 does."""
+    lift = graceful_to_r_terrace(walecki_graceful((3 * p - 1) // 2))
+    j = 2 * p - 1
+    return RTerrace(lift.group, lift.entries[j:] + lift.entries[:j], 0)
+
+
+def _fgm_base(name: str) -> RTerrace:
+    if name == "z5sq":
+        return _pk_base(5, 2, 0)[0]
+    p = int(name[4:6]) // 3
+    return fgm_extend(_lift(p), 5) if name.endswith("x5") else _lift(p)
+
+
+@pytest.mark.parametrize("name", FGM_DIGESTS)
+def test_fgm_extend(name):
+    base = _fgm_base(name)
+    text = "".join(
+        f"{(t.group, t.entries, t.star_index)!r}\n"
+        for t in (fgm_extend(base, w) for w in FGM_WIDTHS)
+    )
+    assert digest(text) == FGM_DIGESTS[name]

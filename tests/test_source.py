@@ -1,7 +1,8 @@
 """Package sources compile without warnings, import without sympy, hold
 no recursive closures, keep the reference checkers independent, run the
 terrace gate only where its fact is checked, build squares in one place,
-and use every public definition outside the oracle."""
+refuse every desk cap with one exception, and use every public definition
+outside the oracle."""
 
 import ast
 import subprocess
@@ -170,6 +171,56 @@ def test_square_caller_detector():
     b = "class C:\n    def m(self):\n        return LatinSquare(1, ((0,),))\n\nX = LatinSquare(0, ())\n"
     sources = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
     assert _callers(sources, "LatinSquare") == {"a.build", "a.rebuild", "b.C", "b.<module>"}
+
+
+def _cap_checks_raising_other(sources: dict[str, ast.Module]) -> set[str]:
+    """module.definition for each top-level statement holding an `if` whose
+    test reads a name bound to desk_cap(...) and whose body raises anything
+    but DeskScaleExceeded, or nothing."""
+    found = set()
+    for path, tree in sources.items():
+        for stmt in tree.body:
+            caps = {
+                t.id
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and "desk_cap"
+                in (getattr(node.value.func, "id", None), getattr(node.value.func, "attr", None))
+                for t in node.targets
+                if isinstance(t, ast.Name)
+            }
+            for node in ast.walk(stmt):
+                if not (isinstance(node, ast.If) and caps & _names_used(node.test)):
+                    continue
+                raised = [
+                    r.exc.func if isinstance(r.exc, ast.Call) else r.exc
+                    for body_stmt in node.body
+                    for r in ast.walk(body_stmt)
+                    if isinstance(r, ast.Raise) and r.exc is not None
+                ]
+                names = {getattr(e, "id", None) or getattr(e, "attr", None) for e in raised}
+                if names != {"DeskScaleExceeded"}:
+                    found.add(f"{Path(path).stem}.{getattr(stmt, 'name', '<module>')}")
+    return found
+
+
+def test_every_desk_cap_raises_desk_scale_exceeded():
+    """A refused scale exits 2 from the CLI whichever cap refused it."""
+    sources = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    assert _cap_checks_raising_other(sources) == set()
+
+
+def test_cap_check_detector():
+    a = (
+        "def ok(n):\n    cap = desk_cap(5)\n    if n > cap:\n"
+        "        raise errors.DeskScaleExceeded(n)\n    if n < 1:\n        raise ValueError(n)\n\n"
+        "def other(n):\n    cap = desk.desk_cap(5)\n    if n > cap:\n        raise ShapeMismatch(n)\n\n"
+        "def silent(n):\n    limit = desk_cap(5)\n    if n > limit:\n        return None\n"
+    )
+    b = "class C:\n    def m(self, n):\n        cap = desk_cap(5)\n        if n >= cap:\n            raise NotFound\n"
+    sources = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
+    assert _cap_checks_raising_other(sources) == {"a.other", "a.silent", "b.C"}
 
 
 def test_traced_names_resolve():

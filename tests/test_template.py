@@ -36,21 +36,21 @@ def test_first_coordinates():
 
 
 def test_middle_segment_small():
-    assert middle_segment(3, 2) == [(2, ()), (1, ())]
-    assert middle_segment(5, 2) == [(2, ()), (4, ()), (3, ()), (1, ())]
-    firsts = [x for x, _ in middle_segment(7, 3)]
+    assert middle_segment(3, 2) == [2, 1]
+    assert middle_segment(5, 2) == [2, 4, 3, 1]
+    firsts = middle_segment(7, 3)
     assert firsts == [3, 1, 5, 4, 6, 2]
     diffs = {(firsts[i + 1] - firsts[i]) % 7 for i in range(5)}
     assert diffs == {2, 3, 4, 5, 6}
 
 
 def test_middle_segment_base_zero():
-    assert middle_segment(3, 2, Z7) == [(2, (0,)), (1, (0,))]
+    # after the prefix and the 6 blocks of 2 entries, second coordinate zero
+    assert assemble(_inputs())[13:15] == ((2, (0,)), (1, (0,)))
 
 
 def test_assign_produces_passing_checklist():
     inputs = _inputs()
-    assert inputs.t == 1
     rep = checklist(inputs)
     assert rep.all_pass, rep.failures()
 
@@ -107,9 +107,7 @@ def test_checklist_flags_broken_row():
     inputs = _inputs()
     rows = [list(map(tuple, row)) for row in inputs.hss]
     rows[0][2] = rows[0][1]  # duplicate kills the coverage of row 1
-    broken = TemplateInputs(
-        inputs.sd, inputs.lam, inputs.gs, tuple(tuple(r) for r in rows), inputs.t
-    )
+    broken = TemplateInputs(inputs.sd, inputs.lam, inputs.gs, tuple(tuple(r) for r in rows))
     rep = checklist(broken)
     assert not rep.all_pass
     assert "c[1]" in rep.failures()
@@ -121,7 +119,7 @@ def test_checklist_flags_broken_gs():
     inputs = _inputs()
     gs = list(inputs.gs)
     gs[3] = gs[2]
-    broken = TemplateInputs(inputs.sd, inputs.lam, gs=tuple(gs), hss=inputs.hss, t=1)
+    broken = TemplateInputs(inputs.sd, inputs.lam, gs=tuple(gs), hss=inputs.hss)
     rep = checklist(broken)
     assert not rep.b or not rep.d
 
@@ -137,7 +135,7 @@ def test_inputs_validate_lambda():
     c = HashHarmonious(group, tuple((x,) for x in cert.provenance["hash"]))
     inputs = theorem4_assign(a, c, cert.group, cert.provenance["lam"])
     assert checklist(inputs).all_pass
-    bad = TemplateInputs(inputs.sd, 3, inputs.gs, inputs.hss, inputs.t)
+    bad = TemplateInputs(inputs.sd, 3, inputs.gs, inputs.hss)
     assert "g" in checklist(bad).failures()
     ok, _ = is_directed_terrace(cert.group, assemble(bad))
     assert not ok
@@ -154,7 +152,7 @@ def test_lambda_one_has_no_middle_segment():
     c = HashHarmonious(group, tuple((x,) for x in cert.provenance["hash"]))
     inputs = theorem4_assign(a, c, cert.group, cert.provenance["lam"])
     for lam in (1, 6):
-        bad = TemplateInputs(inputs.sd, lam, inputs.gs, inputs.hss, inputs.t)
+        bad = TemplateInputs(inputs.sd, lam, inputs.gs, inputs.hss)
         assert "g" in checklist(bad).failures()
         with pytest.raises(GroupFormatError):
             assemble(bad)
@@ -174,8 +172,6 @@ def test_checklist_matches_checker_on_random_grids():
         i = rng.randrange(len(rows))
         j, k = rng.randrange(6), rng.randrange(6)
         rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
-        cand = TemplateInputs(
-            base.sd, base.lam, base.gs, tuple(tuple(r) for r in rows), base.t
-        )
+        cand = TemplateInputs(base.sd, base.lam, base.gs, tuple(tuple(r) for r in rows))
         ok, _ = is_directed_terrace(SD_3_7, assemble(cand))
         assert ok == checklist(cand).all_pass
