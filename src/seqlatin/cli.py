@@ -238,12 +238,11 @@ def cmd_verify(args) -> int:
     claimed = _decode_entries(group, cert["sequencing"])
     # a terrace lists each element once, so a wrong length is answered
     # without enumerating a group whose declared order may be huge
-    if len(terrace) == group.order:
-        ok, quots = is_directed_terrace(group, terrace)
-    else:
-        ok, quots = False, []
+    enc = compile_index(group)
+    idx = enc.indices(terrace) if len(terrace) == group.order else None
+    ok, quots = (False, []) if idx is None else is_directed_terrace(group, idx)
     try:
-        seq_ok = ok and compile_index(group).indices(claimed) == quots
+        seq_ok = ok and enc.indices(claimed) == quots
     except ShapeMismatch:
         seq_ok = False
     checks = {"terrace": ok, "sequencing": seq_ok}

@@ -17,10 +17,14 @@ factor, always reduced mod the factor.  Semidirect elements are pairs
 (u, v) with u an int mod s and v an abelian element.  Table elements are
 the indices 0..n-1 into the table itself.
 
-compile_index(group) gives the one integer encoding of any of the three:
-an element is its position in elements(), row(g) lists the indices of
-g*h over every h, and quot(i, j) is the index of inv(g_i)*g_j.  The
-terrace gate, squares and the exhaustive oracle work on it.
+compile_index(group) gives the one integer encoding of any of the three,
+memoized per group: an element is its position in elements(), row(g)
+lists the indices of g*h over every h, quot(i, j) is the index of
+inv(g_i)*g_j and quots(idx) every consecutive quotient of an index list
+in one loop.  The constructions of the certificate path, the terrace
+gate, certificates, squares and the exhaustive oracle work on indices;
+the strict map indices(elems) reads outside input into them, and
+columns(idx) writes them back out as coordinates.
 
 The JSON descriptor for a group is one of
 
@@ -37,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -567,6 +571,19 @@ class AbelianIndex:
             return (j - i) % last
         return self._lead.quot(i // last, j // last) * last + (j - i) % last
 
+    def diffs(self, xs, ys) -> list[int]:
+        """quot(x, y) for every pair, one loop per factor."""
+        last = self._last
+        tail = [(j - i) % last for i, j in zip(xs, ys)]
+        if self._lead is None:
+            return tail
+        head = self._lead.diffs([i // last for i in xs], [j // last for j in ys])
+        return [h * last + t for h, t in zip(head, tail)]
+
+    def quots(self, idx) -> list[int]:
+        """quot(idx[k], idx[k + 1]) for every k of an index list."""
+        return self.diffs(idx, idx[1:])
+
     def columns(self, idx) -> list[list[int]]:
         """Coordinate k of the element at each index, for every factor k."""
         factors = self._spec.factors
@@ -644,11 +661,28 @@ class SdIndex:
         na = self._na
         return [u * na + i for u, i in zip(us, vs)]
 
+    def twist(self, e: int) -> list[int]:
+        """index(alpha^e(v)) for every base index v."""
+        return self._twists[e % self._s]
+
     def quot(self, i: int, j: int) -> int:
         """index(inv(g_i) * g_j) = d * |A| + index(y - alpha^d(v))."""
         na = self._na
         d = (j // na - i // na) % self._s
         return d * na + self._base.quot(self._twists[d][i % na], j % na)
+
+    def quots(self, idx) -> list[int]:
+        """quot(idx[k], idx[k + 1]) for every k of an index list."""
+        s, na, twists = self._s, self._na, self._twists
+        pairs = list(zip(idx, idx[1:]))
+        ds = [(j // na - i // na) % s for i, j in pairs]
+        if self._base._lead is None:  # one factor: subtract mod |A| inline
+            return [
+                d * na + (j - twists[d][i % na]) % na for d, (i, j) in zip(ds, pairs)
+            ]
+        vs = [twists[d][i % na] for d, (i, _) in zip(ds, pairs)]
+        diffs = self._base.diffs(vs, [j % na for _, j in pairs])
+        return [d * na + b for d, b in zip(ds, diffs)]
 
     def columns(self, idx) -> list[list[int]]:
         """u, then each base coordinate, of the element at each index."""
@@ -678,10 +712,14 @@ class TableIndex:
         """The elements themselves, or None when one is not an int in 0..n-1."""
         n = len(self._rows)
         idx = list(elems)
-        return idx if all(isinstance(e, int) and 0 <= e < n for e in idx) else None
+        return idx if all(type(e) is int and 0 <= e < n for e in idx) else None
 
     def quot(self, i: int, j: int) -> int:
         return self._rows[self._inv[i]][j]
+
+    def quots(self, idx) -> list[int]:
+        rows, inv = self._rows, self._inv
+        return [rows[inv[i]][j] for i, j in zip(idx, idx[1:])]
 
     def columns(self, idx) -> list[list[int]]:
         return [list(idx)]
@@ -693,6 +731,7 @@ class TableIndex:
         return list(self._rows[g])
 
 
+@lru_cache(maxsize=32)
 def compile_index(group):
     """The integer encoding of a group, indices in group.elements() order.
 
@@ -700,13 +739,18 @@ def compile_index(group):
         .indices(es)    strict positions of outside input, or None when
                         some entry is not an element
         .quot(i, j)     index of inv(g_i) * g_j
+        .quots(is)      quot of every consecutive pair of an index list
         .decode(i)      the element at index i
         .columns(is)    coordinate k of the element at each index, for
                         every k: u first for a semidirect product
         .row(g)         row(g)[h] is the index of g*h
-    for indices g, h, i and j.  Compile one per use: it holds O(n) ints
-    besides a table group's own table, each table built on first use,
-    and each row is built on demand in O(n) list operations.
+    for indices g, h, i and j, and an SdIndex also has .twist(e), the
+    index of alpha^e(v) for every base index v.  One encoder serves every
+    caller of a group: the last 32 compiled are kept, keyed as the square
+    cache is, by value for AbelianSpec and SdSpec and by identity for a
+    TableGroup (the key keeps the group alive).  An encoder holds O(n)
+    ints besides a table group's own table, each table built on first
+    use, and each row is built on demand in O(n) list operations.
     """
     if isinstance(group, AbelianSpec):
         return AbelianIndex(group)

@@ -22,28 +22,30 @@ from .errors import NotATerrace, OddOrder
 from .groups import TableGroup, compile_index
 
 
-def is_directed_terrace(group, arrangement) -> tuple[bool, list[int]]:
-    """Check the covering conditions on element indices.
+def is_directed_terrace(group, indices) -> tuple[bool, list[int]]:
+    """Check the covering conditions of an arrangement given as element indices.
 
     Returns (verdict, quotients): quotients[i] is the index, in
     group.elements() order, of a_i^-1 a_{i+1}, and the list is empty
-    when the verdict is False.  An entry that is not an element (a
-    coordinate outside its range) makes the verdict False; one of the
-    wrong length raises ShapeMismatch.  Byte marks over the indices
+    when the verdict is False.  Any index outside 0..n-1, a negative one
+    included, makes the verdict False.  Byte marks over the indices
     0..n-1 check that every element appears once and that the quotients
-    cover every index but the identity's.
+    cover every index but the identity's.  Outside input is read into
+    indices by the encoder's strict map first.
     """
     enc = compile_index(group)
     n = group.order
-    idx = enc.indices(arrangement)
-    if idx is None or len(idx) != n:
+    if len(indices) != n or min(indices) < 0:
         return False, []
     marks = bytearray(n)
-    for i in idx:
-        marks[i] = 1
+    try:
+        for i in indices:
+            marks[i] = 1
+    except IndexError:  # an index n or above
+        return False, []
     if 0 in marks:
         return False, []
-    quots = list(map(enc.quot, idx, islice(idx, 1, None)))
+    quots = enc.quots(indices)
     marks = bytearray(n)
     marks[enc.indices([group.identity])[0]] = 1
     for q in quots:
@@ -53,16 +55,14 @@ def is_directed_terrace(group, arrangement) -> tuple[bool, list[int]]:
     return True, quots
 
 
-def walecki_terrace(n: int):
-    """(0, n-1, 1, n-2, 2, ...) over Z_n for even n."""
+def walecki_terrace(n: int) -> tuple[int, ...]:
+    """(0, n-1, 1, n-2, 2, ...) as Z_n indices, for even n."""
     if n < 2 or n % 2 != 0:
         raise OddOrder(f"zig-zag terrace needs even n >= 2, got {n}")
-    out = [0]
-    for i in range(1, n // 2 + 1):
-        out.append(n - i)
-        if len(out) < n:
-            out.append(i)
-    return tuple((v,) for v in out)
+    out = [0] * n
+    out[0::2] = range(n // 2)
+    out[1::2] = range(n - 1, n // 2 - 1, -1)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,12 @@ class LatinSquare:
 def terrace_to_complete_square(group, terrace) -> LatinSquare:
     """Rows run through the terrace's elementwise inverses, columns through the terrace.
 
-    The gate runs on every call; the square is sequencing_square's, shared
-    by every terrace with the same quotients.
+    The terrace is outside input, read by the strict map; the gate runs
+    on every call, and the square is sequencing_square's, shared by every
+    terrace with the same quotients.
     """
-    ok, quots = is_directed_terrace(group, terrace)
+    idx = compile_index(group).indices(terrace)
+    ok, quots = (False, []) if idx is None else is_directed_terrace(group, idx)
     if not ok:
         raise NotATerrace("row/column source must be a directed terrace")
     return sequencing_square(group, quots)

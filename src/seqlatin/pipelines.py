@@ -60,37 +60,47 @@ from .template import assemble, theorem4_assign
 
 @dataclass(frozen=True)
 class SequencingCertificate:
-    """A directed terrace and its quotients, as the gate returned them.
+    """A directed terrace and its quotients, as element indices.
 
-    quotients[i] is the index, in group.elements() order, of
-    a_i^-1 a_{i+1}; .sequencing decodes them to group elements.
+    indices is the terrace as the gate passed it and quotients[i] the
+    index of a_i^-1 a_{i+1}, both in group.elements() order;
+    .terrace and .sequencing decode them to group elements.
     """
 
     group: object  # SdSpec, or a cyclic AbelianSpec for the even orders
-    terrace: tuple
+    indices: tuple[int, ...]
     quotients: tuple[int, ...]
     provenance: dict
 
+    def _elements(self, idx) -> tuple:
+        cols = compile_index(self.group).columns(idx)
+        if isinstance(self.group, SdSpec):
+            return tuple(zip(cols[0], zip(*cols[1:])))
+        if isinstance(self.group, AbelianSpec):
+            return tuple(zip(*cols))
+        return tuple(cols[0])
+
+    @property
+    def terrace(self) -> tuple:
+        return self._elements(self.indices)
+
     @property
     def sequencing(self) -> tuple:
-        return tuple(map(compile_index(self.group).decode, self.quotients))
+        return self._elements(self.quotients)
 
     def to_json(self) -> dict:
-        # one flat row of coordinates per element
-        group = self.group
-        if isinstance(group, SdSpec):
-            terrace = [[u, *v] for u, v in self.terrace]
-        elif isinstance(group, AbelianSpec):
-            terrace = [list(e) for e in self.terrace]
-        else:
-            terrace = [[e] for e in self.terrace]
-        steps = compile_index(group).columns(self.quotients)
+        # one flat row of coordinates per element, u first for a semidirect product
+        columns = compile_index(self.group).columns
         return {
-            "group": group_to_descriptor(group),
-            "terrace": terrace,
-            "sequencing": list(map(list, zip(*steps))),
+            "group": group_to_descriptor(self.group),
+            "terrace": _rows(columns(self.indices)),
+            "sequencing": _rows(columns(self.quotients)),
             "provenance": self.provenance,
         }
+
+
+def _rows(cols) -> list[list[int]]:
+    return [[v] for v in cols[0]] if len(cols) == 1 else list(map(list, zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -123,12 +133,13 @@ def _check_order(q: int, base: int, p: int = 1, k: int = 0) -> None:
         raise DeskScaleExceeded(f"order {shown} exceeds pipeline cap {cap}")
 
 
-def _certify(group, arrangement, provenance) -> Optional[SequencingCertificate]:
-    """The certificate of a directed terrace, or None when it is not one."""
-    ok, quots = is_directed_terrace(group, arrangement)
+def _certify(group, indices, provenance) -> Optional[SequencingCertificate]:
+    """The certificate of a directed terrace given as element indices, or
+    None when it is not one."""
+    ok, quots = is_directed_terrace(group, indices)
     if not ok:
         return None
-    return SequencingCertificate(group, tuple(arrangement), tuple(quots), provenance)
+    return SequencingCertificate(group, tuple(indices), tuple(quots), provenance)
 
 
 # ---------------------------------------------------------------------------

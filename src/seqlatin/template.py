@@ -12,6 +12,11 @@ Its endpoint conditions are the only checks made here: the template
 neither validates its inputs nor re-checks its layout, the pipelines
 certify the assembled arrangement at their one gate, and checklist
 explains an arrangement family by family.
+
+The assignment and the layout work on element indices: the g and h
+families are base indices, base sums and differences are read from the
+base encoder's row and quot, alpha^e from the semidirect encoder's
+twist table, and assemble emits the index u * |A| + v of each (u, v).
 """
 
 from __future__ import annotations
@@ -20,17 +25,19 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConditionsViolated, GroupFormatError, ShapeMismatch
-from .groups import AbElem, SdElem, SdSpec
+from .groups import SdSpec, compile_index
 from .harmonious import HashHarmonious
 from .rotational import RTerrace
 
 
 @dataclass(frozen=True)
 class TemplateInputs:
+    """The template's families, each entry a base index."""
+
     sd: SdSpec
     lam: int
-    gs: tuple[AbElem, ...]
-    hss: tuple[tuple[AbElem, ...], ...]
+    gs: tuple[int, ...]
+    hss: tuple[tuple[int, ...], ...]
 
 
 def first_coordinates(q: int, lam: int) -> list[int]:
@@ -57,17 +64,16 @@ def middle_segment(q: int, lam: int) -> list[int]:
     return firsts
 
 
-def assemble(inputs: TemplateInputs) -> tuple[SdElem, ...]:
-    """Lay the template out in order; makes no validity promise."""
+def assemble(inputs: TemplateInputs) -> tuple[int, ...]:
+    """Lay the template out in order as indices of sd; makes no validity promise."""
     sd = inputs.sd
-    q, m, zero = sd.s, sd.base.order, sd.base.identity
-    fcs = first_coordinates(q, inputs.lam)
-    out: list[SdElem] = [(0, inputs.gs[0])]
-    for j in range(m - 1):
-        out.extend((fcs[i], inputs.hss[i][j]) for i in range(q - 1))
-    out.extend((x, zero) for x in middle_segment(q, inputs.lam))
-    out.extend((0, g) for g in inputs.gs[1:])
-    return tuple(out)
+    q, m = sd.s, sd.base.order
+    # block j holds (u_i, h_ij) for every row i, so row i fills every (q-1)-th slot
+    blocks = [0] * ((q - 1) * (m - 1))
+    for i, (u, row) in enumerate(zip(first_coordinates(q, inputs.lam), inputs.hss)):
+        blocks[i :: q - 1] = map((u * m).__add__, row)
+    middle = [x * m for x in middle_segment(q, inputs.lam)]  # the base's zero is index 0
+    return (inputs.gs[0], *blocks, *middle, *inputs.gs[1:])
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,9 @@ def checklist(inputs: TemplateInputs) -> ChecklistReport:
     alpha = sd.alpha
     q = sd.s
     m, lam = A.order, inputs.lam % q
-    gs, hss = inputs.gs, inputs.hss
+    decode = compile_index(A).decode
+    gs = tuple(map(decode, inputs.gs))
+    hss = tuple(tuple(map(decode, row)) for row in inputs.hss)
     nonzero = Counter(e for e in A.elements() if e != A.identity)
     full = Counter(A.elements())
 
@@ -154,6 +162,11 @@ def checklist(inputs: TemplateInputs) -> ChecklistReport:
     return ChecklistReport(fam_a, fam_b, fam_c, fam_d, tuple(fam_e), fam_f, fam_g)
 
 
+def _unmet(decode, condition: str, name: str, got: int, want: int):
+    """A ConditionsViolated entry, its base indices shown as elements."""
+    return condition, f"{name} = {decode(got)}, needs {decode(want)}"
+
+
 def theorem4_assign(
     a: RTerrace, c: HashHarmonious, sd: SdSpec, lam: int
 ) -> TemplateInputs:
@@ -163,28 +176,33 @@ def theorem4_assign(
         a_1 = c_1 + c_{m-1} - alpha^{q-1}(c_1)
         a_{m-1} = a_1 - alpha^{lam-1}(c_{m-1})
     The g values are the terrace shifted by alpha^{q-1}(c_1); odd h rows
-    copy c and even rows carry -alpha^{lam-1}(c).
+    copy c and even rows carry -alpha^{lam-1}(c).  On base indices, y - x
+    is quot(x, y), -x is quot(x, 0), and the g values are row(shift) read
+    at the terrace's indices.
     """
     A = sd.base
-    alpha = sd.alpha
     q = sd.s
     m = A.order
     if a.group != A or c.group != A:
         raise ShapeMismatch("terrace and sequence must live in the base group")
-    if len(a.entries) != m - 1 or len(c.entries) != m - 1:
-        raise ShapeMismatch("need m-1 entries in both inputs")
-    c1, clast = c.entries[0], c.entries[-1]
-    shift = alpha.apply_power(q - 1, c1)
+    enc, twist = compile_index(A), compile_index(sd).twist
+    quot = enc.quot
+    ais, cis = enc.indices(a.entries), enc.indices(c.entries)
+    if ais is None or cis is None or len(ais) != m - 1 or len(cis) != m - 1:
+        raise ShapeMismatch("need m-1 base elements in both inputs")
+    c1, clast = cis[0], cis[-1]
+    shift = twist(q - 1)[c1]
+    lam_twist = twist(lam - 1)
     failures = []
-    want1 = A.sub(A.add(c1, clast), shift)
-    if a.entries[0] != want1:
-        failures.append(("condition 1", f"a_1 = {a.entries[0]}, needs {want1}"))
-    want2 = A.sub(a.entries[0], alpha.apply_power((lam - 1) % q, clast))
-    if a.entries[-1] != want2:
-        failures.append(("condition 2", f"a_last = {a.entries[-1]}, needs {want2}"))
+    want1 = quot(shift, quot(quot(c1, 0), clast))
+    if ais[0] != want1:
+        failures.append(_unmet(enc.decode, "condition 1", "a_1", ais[0], want1))
+    want2 = quot(lam_twist[clast], ais[0])
+    if ais[-1] != want2:
+        failures.append(_unmet(enc.decode, "condition 2", "a_last", ais[-1], want2))
     if failures:
         raise ConditionsViolated(failures)
-    gs = (shift,) + tuple(A.add(e, shift) for e in a.entries)
-    odd = tuple(c.entries)
-    even = tuple(A.neg(alpha.apply_power((lam - 1) % q, cj)) for cj in c.entries)
+    gs = (shift, *map(enc.row(shift).__getitem__, ais))
+    odd = tuple(cis)
+    even = tuple(enc.diffs([lam_twist[cj] for cj in cis], [0] * len(cis)))
     return TemplateInputs(sd, lam, gs, tuple(odd if i % 2 else even for i in range(1, q)))

@@ -85,6 +85,47 @@ def test_kernel_rejects_unknown_groups():
         compile_index(object())
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_batch_quotients_match_quot(name):
+    group = KERNEL_GROUPS[name]
+    enc = compile_index(group)
+    rng = random.Random(name)
+    for length in (0, 1, 2, 50):
+        idx = [rng.randrange(group.order) for _ in range(length)]
+        assert enc.quots(idx) == [enc.quot(i, j) for i, j in zip(idx, idx[1:])], length
+        assert enc.quots(tuple(idx)) == enc.quots(idx)
+
+
+@pytest.mark.parametrize("name", [k for k, g in KERNEL_GROUPS.items() if isinstance(g, SdSpec)])
+def test_twist_table_applies_alpha_powers(name):
+    group = KERNEL_GROUPS[name]
+    base = compile_index(group.base)
+    elems = list(group.base.elements())
+    for e in (0, 1, group.s - 1, group.s + 1):
+        want = base.indices(group.alpha.apply_power(e % group.s, v) for v in elems)
+        assert compile_index(group).twist(e) == want, e
+
+
+def test_one_encoder_per_group():
+    sd = KERNEL_GROUPS["Z3|Z7"]
+    rebuilt = SdSpec(3, cyclic(7), Automorphism((ScalarBlock(7, 2),)))
+    assert rebuilt is not sd and compile_index(rebuilt) is compile_index(sd)
+    assert compile_index(AbelianSpec((4, 6))) is compile_index(AbelianSpec((4, 6)))
+    table, _ = as_table(cyclic(6))
+    twin, _ = as_table(cyclic(6))
+    assert table.mul_table() == twin.mul_table()
+    assert compile_index(table) is compile_index(table)
+    assert compile_index(twin) is not compile_index(table)
+
+
+def test_encoder_memo_stays_within_its_size():
+    size = compile_index.cache_info().maxsize
+    for n in range(2, 2 * size + 10):
+        compile_index(cyclic(n))
+        assert compile_index.cache_info().currsize <= size
+    assert compile_index.cache_info().currsize == size
+
+
 def digest(grid):
     return hashlib.blake2b(repr(grid).encode(), digest_size=16).hexdigest()
 
@@ -130,7 +171,7 @@ def test_catalogue_squares_golden(key):
 
 def test_walecki_squares_golden():
     grids = tuple(
-        terrace_to_complete_square(cyclic(n), walecki_terrace(n)).grid
+        terrace_to_complete_square(cyclic(n), [(x,) for x in walecki_terrace(n)]).grid
         for n in range(2, 65, 2)
     )
     assert digest(grids) == "8e88e2dc91b58ceae21ff6602acaee3f"

@@ -19,6 +19,7 @@ from seqlatin.groups import (
     SdIndex,
     SdSpec,
     TableGroup,
+    compile_index,
     cyclic,
     group_from_descriptor,
     group_to_descriptor,
@@ -34,10 +35,21 @@ from seqlatin.latin import (
 from seqlatin.pipelines import sequence_cyclic, sequence_non3, sequence_order, sequence_theorem3
 
 
+def _walecki(n):
+    """Walecki's terrace of Z_n as elements, the outside form."""
+    return tuple((x,) for x in walecki_terrace(n))
+
+
+def _gate(group, elems):
+    """The gate on outside input: the strict map first, None not a terrace."""
+    idx = compile_index(group).indices(elems)
+    return (False, []) if idx is None else is_directed_terrace(group, idx)
+
+
 def test_walecki_examples():
-    assert walecki_terrace(2) == ((0,), (1,))
-    assert walecki_terrace(6) == tuple((x,) for x in (0, 5, 1, 4, 2, 3))
-    assert walecki_terrace(8) == tuple((x,) for x in (0, 7, 1, 6, 2, 5, 3, 4))
+    assert walecki_terrace(2) == (0, 1)
+    assert walecki_terrace(6) == (0, 5, 1, 4, 2, 3)
+    assert walecki_terrace(8) == (0, 7, 1, 6, 2, 5, 3, 4)
 
 
 def test_walecki_rejects_odd():
@@ -56,25 +68,25 @@ def test_walecki_is_terrace():
 
 def test_directed_terrace_negatives():
     z5 = cyclic(5)
-    ok, _ = is_directed_terrace(z5, tuple((x,) for x in range(5)))
+    ok, _ = _gate(z5, tuple((x,) for x in range(5)))
     assert not ok  # all quotients equal 1
     z3 = cyclic(3)
-    ok, _ = is_directed_terrace(z3, ((0,), (1,), (2,)))
+    ok, _ = _gate(z3, ((0,), (1,), (2,)))
     assert not ok
-    ok, _ = is_directed_terrace(z5, ((0,), (1,), (1,), (3,), (4,)))
+    ok, _ = _gate(z5, ((0,), (1,), (1,), (3,), (4,)))
     assert not ok  # repeated element
 
 
 def test_directed_terrace_multifactor():
     g = AbelianSpec((2, 2))
-    ok, _ = is_directed_terrace(g, ((0, 0), (0, 1), (1, 1), (1, 0)))
+    ok, _ = _gate(g, ((0, 0), (0, 1), (1, 1), (1, 0)))
     # Z_2 x Z_2 has no terrace at all; quotient (0,1) repeats
     assert not ok
 
 
 def test_square_shape_and_orders():
     n = 6
-    sq = terrace_to_complete_square(cyclic(n), walecki_terrace(n))
+    sq = terrace_to_complete_square(cyclic(n), _walecki(n))
     assert sq.n == n
     assert len(sq.grid) == n and all(len(row) == n for row in sq.grid)
 
@@ -86,7 +98,7 @@ def test_square_rejects_non_terrace():
 
 def test_walecki_squares_complete():
     for n in (2, 4, 6, 8, 12, 20):
-        sq = terrace_to_complete_square(cyclic(n), walecki_terrace(n))
+        sq = terrace_to_complete_square(cyclic(n), _walecki(n))
         rep = completeness_report(sq)
         assert rep.is_latin and rep.is_row_complete and rep.is_column_complete
         assert rep.is_complete and rep.witness is None
@@ -108,7 +120,7 @@ def test_fast_grid_matches_generic():
     cases = []
     cert = sequence_cyclic(3, 9)
     cases.append((cert.group, cert.terrace))
-    cases.append((cyclic(10), walecki_terrace(10)))
+    cases.append((cyclic(10), _walecki(10)))
     for group, terrace in cases:
         sq = terrace_to_complete_square(group, terrace)
         seq = [tuple(e) for e in terrace]
@@ -120,7 +132,7 @@ def test_fast_grid_matches_generic():
 
 
 def test_single_mutation_breaks_a_property():
-    sq = terrace_to_complete_square(cyclic(8), walecki_terrace(8))
+    sq = terrace_to_complete_square(cyclic(8), _walecki(8))
     base = [list(row) for row in sq.grid]
     for r in range(8):
         for c in range(8):
@@ -132,7 +144,7 @@ def test_single_mutation_breaks_a_property():
 
 
 def test_mutation_witness_reported():
-    sq = terrace_to_complete_square(cyclic(6), walecki_terrace(6))
+    sq = terrace_to_complete_square(cyclic(6), _walecki(6))
     g = [list(row) for row in sq.grid]
     g[0][0], g[0][1] = g[0][1], g[0][0]
     rep = completeness_report(
@@ -289,7 +301,7 @@ def test_report_matches_keyset_report_on_small_orders():
 
 
 def test_report_of_order_512_peaks_below_8_mb():
-    square = terrace_to_complete_square(cyclic(512), walecki_terrace(512))
+    square = terrace_to_complete_square(cyclic(512), _walecki(512))
     fresh = dataclasses.replace(square, grid=tuple(list(square.grid)))  # not the cached grid
     tracemalloc.start()
     try:
@@ -314,7 +326,7 @@ def cache(monkeypatch):
 
 
 def _walecki_square(n, group=None):
-    return terrace_to_complete_square(group or cyclic(n), walecki_terrace(n))
+    return terrace_to_complete_square(group or cyclic(n), _walecki(n))
 
 
 def _cached_orders():
@@ -342,7 +354,7 @@ def test_cache_semidirect_from_descriptor_hits(cache):
 def test_cache_left_translate_shares_grid_and_report(cache):
     n = 14
     quots = is_directed_terrace(cyclic(n), walecki_terrace(n))[1]
-    translate = tuple(((x + 5) % n,) for (x,) in walecki_terrace(n))
+    translate = tuple(((x + 5) % n,) for x in walecki_terrace(n))
     built = terrace_to_complete_square(cyclic(n), translate)
     seq = sequencing_square(cyclic(n), quots)
     # a hit, through either builder, returns the cached square itself
@@ -414,7 +426,7 @@ def test_cache_does_not_store_an_over_bound_square(cache):
     assert _cached_orders() == [4]
     assert _walecki_square(12).grid is not square.grid
     assert completeness_report(square).is_complete
-    seq = [x for (x,) in walecki_terrace(12)]
+    seq = walecki_terrace(12)
     assert square.grid == tuple(tuple((b - a) % 12 for b in seq) for a in seq)
 
 
@@ -423,7 +435,7 @@ def test_cache_table_groups_hit_only_for_the_same_object(cache):
         return TableGroup([[(a + b) % 6 for b in range(6)] for a in range(6)])
 
     table = z6_table()
-    terrace = [x for (x,) in walecki_terrace(6)]
+    terrace = list(walecki_terrace(6))
     square = terrace_to_complete_square(table, terrace)
     assert terrace_to_complete_square(table, terrace).grid is square.grid
     other = terrace_to_complete_square(z6_table(), terrace)

@@ -1,8 +1,8 @@
 """Package sources compile without warnings, import without sympy, hold
 no recursive closures, keep the reference checkers independent, run the
 terrace gate only where its fact is checked, build squares in one place,
-refuse every desk cap with one exception, and use every public definition
-outside the oracle."""
+build certificates without element arithmetic, refuse every desk cap
+with one exception, and use every public definition outside the oracle."""
 
 import ast
 import subprocess
@@ -171,6 +171,61 @@ def test_square_caller_detector():
     b = "class C:\n    def m(self):\n        return LatinSquare(1, ((0,),))\n\nX = LatinSquare(0, ())\n"
     sources = {"a.py": ast.parse(a), "b.py": ast.parse(b)}
     assert _callers(sources, "LatinSquare") == {"a.build", "a.rebuild", "b.C", "b.<module>"}
+
+
+ELEMENT_CALLS = {"apply_power", "apply", "add", "sub", "neg", "scale", "decode"}
+
+# the certificate path, construction to JSON, which works on element indices
+INDEX_PATH = (
+    "latin.walecki_terrace",
+    "template.theorem4_assign",
+    "template.assemble",
+    "pipelines._certify",
+    "pipelines.SequencingCertificate.to_json",
+)
+
+
+def _element_callers(sources: dict[str, ast.Module], targets) -> set[str]:
+    """Each target, module.function or module.Class.method, whose body calls
+    a name in ELEMENT_CALLS, bare or as an attribute."""
+    found = set()
+    for target in targets:
+        module, *path = target.split(".")
+        node = sources[module]
+        for name in path:
+            node = next(
+                n for n in node.body
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name
+            )
+        called = {
+            getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+            for c in ast.walk(node)
+            if isinstance(c, ast.Call)
+        }
+        if called & ELEMENT_CALLS:
+            found.add(target)
+    return found
+
+
+def test_certificate_path_does_no_element_arithmetic():
+    """Walecki's terrace, the Theorem-4 arrangement, the gate's caller and
+    the JSON writer read and write indices: no tuple sum, twist or decode
+    per element.  A failed endpoint condition decodes its message apart."""
+    sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert _element_callers(sources, INDEX_PATH) == set()
+
+
+def test_element_call_detector():
+    a = (
+        "def clean(enc, i):\n    return enc.quot(i, 0)\n\n"
+        "def adds(A, x, y):\n    return A.add(x, y)\n\n"
+        "def shows(decode, i):\n    return f'{decode(i)}'\n\n"
+        "def passes(enc):\n    return report(enc.decode)\n"
+    )
+    b = "class C:\n    def m(self, alpha, v):\n        return alpha.apply_power(2, v)\n"
+    sources = {"a": ast.parse(a), "b": ast.parse(b)}
+    targets = ["a.clean", "a.adds", "a.shows", "a.passes", "b.C.m"]
+    assert _element_callers(sources, targets) == {"a.adds", "a.shows", "b.C.m"}
 
 
 def _cap_checks_raising_other(sources: dict[str, ast.Module]) -> set[str]:

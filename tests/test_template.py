@@ -45,8 +45,9 @@ def test_middle_segment_small():
 
 
 def test_middle_segment_base_zero():
-    # after the prefix and the 6 blocks of 2 entries, second coordinate zero
-    assert assemble(_inputs())[13:15] == ((2, (0,)), (1, (0,)))
+    # after the prefix and the 6 blocks of 2 entries, second coordinate
+    # zero: (2, 0) and (1, 0) sit at indices 2 * 7 and 1 * 7
+    assert assemble(_inputs())[13:15] == (14, 7)
 
 
 def test_assign_produces_passing_checklist():
@@ -57,12 +58,13 @@ def test_assign_produces_passing_checklist():
 
 def test_assign_shift_and_rows():
     inputs = _inputs()
-    # shift = alpha^2(c_1) = 4 * 6 = 3; g_1 is the bare shift
-    assert inputs.gs[0] == (3,)
-    assert inputs.gs[1:] == tuple(((x + 3) % 7,) for x in TERRACE_3_7)
-    assert inputs.hss[0] == tuple((x,) for x in HASH_3_7)
+    # shift = alpha^2(c_1) = 4 * 6 = 3; g_1 is the bare shift (a Z_7
+    # element's index is its coordinate)
+    assert inputs.gs[0] == 3
+    assert inputs.gs[1:] == tuple((x + 3) % 7 for x in TERRACE_3_7)
+    assert inputs.hss[0] == HASH_3_7
     # even rows carry -alpha^(lam-1)(c) = -2c
-    assert inputs.hss[1] == tuple(((-2 * x) % 7,) for x in HASH_3_7)
+    assert inputs.hss[1] == tuple((-2 * x) % 7 for x in HASH_3_7)
 
 
 def test_assign_row_parity_q5():
@@ -74,7 +76,7 @@ def test_assign_row_parity_q5():
     a = make_r_terrace(group, tuple((x,) for x in cert.provenance["r_terrace"]))
     c = HashHarmonious(group, tuple((x,) for x in cert.provenance["hash"]))
     inputs = theorem4_assign(a, c, cert.group, cert.provenance["lam"])
-    assert inputs.hss[0] == inputs.hss[2] == c.entries
+    assert inputs.hss[0] == inputs.hss[2] == tuple(cert.provenance["hash"])
     assert inputs.hss[1] == inputs.hss[3]
     assert inputs.hss[1] != inputs.hss[0]
 
@@ -82,7 +84,7 @@ def test_assign_row_parity_q5():
 def test_assemble_is_terrace():
     arr = assemble(_inputs())
     assert len(arr) == 21
-    assert arr[0] == (0, (3,))
+    assert arr[0] == 3  # (0, (3,))
     ok, quots = is_directed_terrace(SD_3_7, arr)
     assert ok
     assert compile_index(SD_3_7).decode(quots[0]) == (1, (0,))
@@ -105,7 +107,7 @@ def test_assign_rejects_wrong_group():
 
 def test_checklist_flags_broken_row():
     inputs = _inputs()
-    rows = [list(map(tuple, row)) for row in inputs.hss]
+    rows = [list(row) for row in inputs.hss]
     rows[0][2] = rows[0][1]  # duplicate kills the coverage of row 1
     broken = TemplateInputs(inputs.sd, inputs.lam, inputs.gs, tuple(tuple(r) for r in rows))
     rep = checklist(broken)
@@ -168,7 +170,7 @@ def test_checklist_matches_checker_on_random_grids():
     rng = random.Random(7)
     base = _inputs()
     for _ in range(25):
-        rows = [list(map(tuple, row)) for row in base.hss]
+        rows = [list(row) for row in base.hss]
         i = rng.randrange(len(rows))
         j, k = rng.randrange(6), rng.randrange(6)
         rows[i][j], rows[i][k] = rows[i][k], rows[i][j]
