@@ -239,7 +239,10 @@ def cmd_verify(args) -> int:
     # a terrace lists each element once, so a wrong length is answered
     # without enumerating a group whose declared order may be huge
     enc = compile_index(group)
-    idx = enc.indices(terrace) if len(terrace) == group.order else None
+    try:
+        idx = enc.indices(terrace) if len(terrace) == group.order else None
+    except ShapeMismatch:  # an element of the wrong length: not a terrace
+        idx = None
     ok, quots = (False, []) if idx is None else is_directed_terrace(group, idx)
     try:
         seq_ok = ok and enc.indices(claimed) == quots

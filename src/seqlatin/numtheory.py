@@ -135,7 +135,10 @@ class Witness:
     pipeline "cyclic": Z_q acting on Z_m by an order-q unit.
     pipeline "non3": Z_q acting on Z_p^2 x B, p = -1 mod q, gcd(|B|, 6) = 1.
     pipeline "theorem3": as non3 but with a 3-part of 3 (nine=False) or
-    9 (nine=True) folded into the base.
+    9 (nine=True) folded into the base.  classify_order never chooses
+    nine=True: every order with such a witness has a cyclic witness, or
+    one with a 3-part of 3, first (tests/test_numtheory.py gives the
+    argument).  The field stays for the witness JSON and the API.
 
     b_factors lists the prime-power orders of the cyclic factors of B,
     ascending; the 3-part of a theorem3 cofactor is excluded from it.
@@ -216,15 +219,8 @@ def _square_witness(n: int, factors: Factorization) -> Optional[Witness]:
             b_factors = _prime_power_factors(rest)
             if three == 1:
                 return Witness(pipeline="non3", q=q, p=p, k=2, b_factors=b_factors)
-            if three in (3, 9):
-                return Witness(
-                    pipeline="theorem3",
-                    q=q,
-                    p=p,
-                    k=2,
-                    b_factors=b_factors,
-                    nine=(three == 9),
-                )
+            if three == 3:
+                return Witness(pipeline="theorem3", q=q, p=p, k=2, b_factors=b_factors)
     return None
 
 

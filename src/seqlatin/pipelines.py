@@ -40,7 +40,7 @@ from .groups import (
     mat_mul,
     mat_pow,
 )
-from .harmonious import HashHarmonious, bghj_base, hash_for, transform_hash
+from .harmonious import bghj_base, hash_for, transform_hash
 from .latin import is_directed_terrace, walecki_terrace
 from .numtheory import (
     classify_order,
@@ -183,23 +183,19 @@ def _cyclic_placement(values: Sequence[int], m: int, first: int, last: int):
     return None
 
 
-def _arrange_hash(h0: HashHarmonious, u: int, start: int, rev: bool):
-    ops = []
-    h = h0
-    if u != 1:
-        h = transform_hash(h, "scale", u)
-        ops.append(["scale", u])
+def _hash_ops(u: int, start: int, rev: bool) -> list:
+    """Provenance of a hash scaled by u, reversed if rev, then rotated to start."""
+    ops = [["scale", u]] if u != 1 else []
     if rev:
-        h = transform_hash(h, "reverse")
         ops.append(["reverse"])
     if start:
-        h = transform_hash(h, "rotate", start)
         ops.append(["rotate", start])
-    return h, ops
+    return ops
 
 
-def _try_cyclic_candidate(sd, lam, h0, hash_vals, terrace_vals, r, u, start, rev):
-    A, q, m = sd.base, sd.s, sd.base.order
+def _try_cyclic_candidate(sd, lam, hash_vals, terrace_vals, r, u, start, rev):
+    """The arrangement and its provenance, or None; every list is Z_m ints."""
+    q, m = sd.s, sd.base.order
     seq = hash_vals[::-1] if rev else hash_vals
     c1 = u * seq[start] % m
     clast = u * seq[start - 1] % m
@@ -213,17 +209,16 @@ def _try_cyclic_candidate(sd, lam, h0, hash_vals, terrace_vals, r, u, start, rev
         return None
     tu, tstart, trev = pl
     tseq = terrace_vals[::-1] if trev else terrace_vals
-    n = len(tseq)
-    a = RTerrace(A, tuple((tu * tseq[(tstart + i) % n] % m,) for i in range(n)))
-    h, hops = _arrange_hash(h0, u, start, rev)
+    a = [tu * v % m for v in tseq[tstart:] + tseq[:tstart]]
+    h = [u * v % m for v in seq[start:] + seq[:start]]
     arr = assemble(theorem4_assign(a, h, sd, lam))
     detail = {
         "a1": x,
         "alast": y,
-        "hash_ops": hops,
+        "hash_ops": _hash_ops(u, start, rev),
         "terrace_ops": {"scale": tu, "rotate": tstart, "reversed": trev},
-        "r_terrace": [e[0] for e in a.entries],
-        "hash": [e[0] for e in h.entries],
+        "r_terrace": a,
+        "hash": h,
     }
     return arr, detail
 
@@ -236,7 +231,9 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
     the hash endpoints (principal (-2s, s)-shaped ones first, then every
     reachable pair) and solve for the terrace arrangement realizing the
     two endpoint conditions exactly, so no per-candidate search is
-    needed.  The first candidate that passes _certify is returned.
+    needed.  Both lists stay Z_m ints, each its own base index, from the
+    scan through theorem4_assign.  The first candidate that passes
+    _certify is returned.
     """
     _check_order(q, m)
     if not is_prime(q) or q % 2 == 0:
@@ -250,8 +247,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
     sds = {r: SdSpec(q, A, Automorphism((ScalarBlock(m, r),))) for r in rs}
     lam = find_lambda(q)
     k = (m - 1) // 2
-    h0 = bghj_base(A).hash
-    hash_vals = [e[0] for e in h0.entries]
+    hash_vals = [e[0] for e in bghj_base(A).hash.entries]
     gperm = walecki_graceful(k)
     terrace_vals = [e[0] for e in graceful_to_r_terrace(gperm).entries]
     inv2 = pow(2, -1, m)
@@ -281,7 +277,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
                 pl = _cyclic_placement(hash_vals, m, c1, s)
                 if pl is None:
                     continue
-                got = _try_cyclic_candidate(sd, lam, h0, hash_vals, terrace_vals, r, *pl)
+                got = _try_cyclic_candidate(sd, lam, hash_vals, terrace_vals, r, *pl)
                 cert = got and certify(sd, r, *got, "principal", {"sign": sign, "role": role})
                 if cert:
                     return cert
@@ -293,7 +289,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
             for rev in (False, True):
                 for start in range(m - 1):
                     got = _try_cyclic_candidate(
-                        sd, lam, h0, hash_vals, terrace_vals, r, u, start, rev
+                        sd, lam, hash_vals, terrace_vals, r, u, start, rev
                     )
                     cert = got and certify(sd, r, *got, "extended", {})
                     if cert:
@@ -447,18 +443,17 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
     width = prefix
     while width < len(A.factors) and A.factors[width] == p:
         width += 1
+    indices = compile_index(A).indices
     h0 = hash_for(A)
-    vals = [tuple(e) for e in h0.entries]
     one = (1,) + (0,) * (len(A.factors) - 1)
     minus2 = A.neg(A.scale(2, one))
     failures = []
     for c1, clast in ((minus2, one), (one, minus2)):
-        pl = _locate_pair(vals, c1, clast)
+        pl = _locate_pair(h0.entries, c1, clast)
         if pl is None:
             failures.append("hash endpoints not adjacent")
             continue
         start, hrev = pl
-        h, hops = _arrange_hash(h0, 1, start, hrev)
         x = A.sub(A.add(c1, clast), alpha.apply_power(q - 1, c1))
         y = A.sub(x, alpha.apply_power((lam - 1) % q, clast))
         if x == A.identity or y == A.identity:
@@ -473,6 +468,11 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
         if not _independent(x, y, prefix, p):
             failures.append("dependent targets")
             continue
+        hops = _hash_ops(1, start, hrev)
+        h = h0
+        for op in hops:
+            h = transform_hash(h, *op)
+        cis = indices(h.entries)
         n = len(rt.entries)
         for trev in (False, True):
             seq = rt.entries[::-1] if trev else rt.entries
@@ -485,8 +485,8 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
                 if not _independent(fst, lst, prefix, p):
                     continue
                 psi = pair_transport(A, p, width, (fst, lst), (x, y))
-                at = RTerrace(A, tuple(psi.apply(seq[(j + i) % n]) for i in range(n)))
-                arr = assemble(theorem4_assign(at, h, sd, lam))
+                at = [psi.apply(seq[(j + i) % n]) for i in range(n)]
+                arr = assemble(theorem4_assign(indices(at), cis, sd, lam))
                 cert = _certify(
                     sd,
                     arr,
@@ -498,7 +498,7 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
                         "targets": {"a1": x, "alast": y},
                         "pair": {"reversed": trev, "rotate": j},
                         "psi": [list(r) for r in psi.blocks[0].mat],
-                        "r_terrace": [list(e) for e in at.entries],
+                        "r_terrace": [list(e) for e in at],
                         "hash": [list(e) for e in h.entries],
                     },
                 )

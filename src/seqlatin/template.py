@@ -8,15 +8,16 @@ first coordinates burn through Z_q \ {0, 1}, then the suffix
 h families is equivalent to the assembled arrangement being a directed
 terrace; the theorem-4 assignment fills the grid from an R-terrace of A
 and a #-harmonious sequence so that the checklist passes by construction.
-Its endpoint conditions are the only checks made here: the template
-neither validates its inputs nor re-checks its layout, the pipelines
-certify the assembled arrangement at their one gate, and checklist
-explains an arrangement family by family.
+Its endpoint conditions and a guard on its inputs' shape are the only
+checks made here: the template does not re-check its layout, the
+pipelines certify the assembled arrangement at their one gate, and
+checklist explains an arrangement family by family.
 
-The assignment and the layout work on element indices: the g and h
-families are base indices, base sums and differences are read from the
-base encoder's row and quot, alpha^e from the semidirect encoder's
-twist table, and assemble emits the index u * |A| + v of each (u, v).
+The assignment and the layout work on element indices: the inputs and
+the g and h families are base indices (a Z_m element is its own), base
+sums and differences are read from the base encoder's row and quot,
+alpha^e from the semidirect encoder's twist table, and assemble emits
+the index u * |A| + v of each (u, v).
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 
 from .errors import ConditionsViolated, GroupFormatError, ShapeMismatch
 from .groups import SdSpec, compile_index
-from .harmonious import HashHarmonious
-from .rotational import RTerrace
 
 
 @dataclass(frozen=True)
@@ -167,12 +166,12 @@ def _unmet(decode, condition: str, name: str, got: int, want: int):
     return condition, f"{name} = {decode(got)}, needs {decode(want)}"
 
 
-def theorem4_assign(
-    a: RTerrace, c: HashHarmonious, sd: SdSpec, lam: int
-) -> TemplateInputs:
-    """Fill the template from an R-terrace and a #-harmonious sequence.
+def theorem4_assign(ais, cis, sd: SdSpec, lam: int) -> TemplateInputs:
+    """Fill the template from an R-terrace and a #-harmonious sequence of A.
 
-    Requires the two endpoint conditions:
+    ais and cis are the R-terrace a and the sequence c as base indices,
+    m-1 of them each in 0..|A|-1; another length or index raises
+    ShapeMismatch.  Requires the two endpoint conditions:
         a_1 = c_1 + c_{m-1} - alpha^{q-1}(c_1)
         a_{m-1} = a_1 - alpha^{lam-1}(c_{m-1})
     The g values are the terrace shifted by alpha^{q-1}(c_1); odd h rows
@@ -180,16 +179,13 @@ def theorem4_assign(
     is quot(x, y), -x is quot(x, 0), and the g values are row(shift) read
     at the terrace's indices.
     """
-    A = sd.base
     q = sd.s
-    m = A.order
-    if a.group != A or c.group != A:
-        raise ShapeMismatch("terrace and sequence must live in the base group")
-    enc, twist = compile_index(A), compile_index(sd).twist
+    m = sd.base.order
+    for xs in (ais, cis):
+        if len(xs) != m - 1 or min(xs) < 0 or max(xs) >= m:
+            raise ShapeMismatch(f"need {m - 1} base indices below {m} in both inputs")
+    enc, twist = compile_index(sd.base), compile_index(sd).twist
     quot = enc.quot
-    ais, cis = enc.indices(a.entries), enc.indices(c.entries)
-    if ais is None or cis is None or len(ais) != m - 1 or len(cis) != m - 1:
-        raise ShapeMismatch("need m-1 base elements in both inputs")
     c1, clast = cis[0], cis[-1]
     shift = twist(q - 1)[c1]
     lam_twist = twist(lam - 1)

@@ -252,6 +252,26 @@ def test_verify_coordinate_raised_by_its_modulus(tmp_path, capsys, order):
             assert json.loads(out)["checks"][key] is False
 
 
+@pytest.mark.parametrize("order", [6, 21])
+def test_verify_ragged_element(tmp_path, capsys, order):
+    # order 6 is a Walecki certificate on Z_6, order 21 a semidirect one; a
+    # terrace element of the wrong length is not a terrace, a sequencing
+    # element of the wrong length is not the sequencing
+    path = tmp_path / "cert.json"
+    run(capsys, ["sequence", "--order", str(order), "--out", str(path)])
+    doc = json.loads(path.read_text())
+    for key, want in (
+        ("terrace", {"terrace": False, "sequencing": False}),
+        ("sequencing", {"terrace": True, "sequencing": False, "complete_square": True}),
+    ):
+        bad = json.loads(json.dumps(doc))
+        bad["certificate"][key][3].append(0)
+        path.write_text(json.dumps(bad))
+        code, out, _ = run(capsys, ["verify", str(path)])
+        assert code == 1, key
+        assert json.loads(out)["checks"] == want, key
+
+
 def test_latin_csv_file(tmp_path, capsys):
     path = tmp_path / "s.csv"
     code, _, err = run(capsys, ["latin", "--order", "6", "--out", str(path)])

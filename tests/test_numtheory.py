@@ -148,11 +148,22 @@ def test_classify_witnesses():
 
 
 def test_classify_witness_shape():
-    for n in range(3, 1000, 2):
+    """Every witness has its shape, and none takes the nine route.
+
+    A square witness (p, q) with a 3-part of 9 would need p != 3, q | p + 1
+    and 9 q p^2 | n.  With q = 3, 27 | n, and q = 3 gives a cyclic witness
+    first: 9 | n/3, so Z_{n/3} has a unit of order 3.  With q != 3 and
+    p = 1 (mod 3), q = 3 gives a cyclic witness, since p | n/3.  With
+    p = 2 (mod 3), 3 divides p + 1 and is the first q that _square_witness
+    tries for p, and n/(3 p^2) has a 3-part of 3.  So classify_order never
+    needs the nine route, and the scan below agrees.
+    """
+    for n in range(3, 50000, 2):
         c = classify_order(n)
         if c.verdict == ODD_NONABELIAN:
             w = c.witness
             assert w is not None
+            assert not w.nine
             if w.pipeline == "cyclic":
                 assert w.q * w.m == n
                 assert unit_of_order_exists(w.m, w.q)

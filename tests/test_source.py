@@ -173,11 +173,17 @@ def test_square_caller_detector():
     assert _callers(sources, "LatinSquare") == {"a.build", "a.rebuild", "b.C", "b.<module>"}
 
 
-ELEMENT_CALLS = {"apply_power", "apply", "add", "sub", "neg", "scale", "decode"}
+# element arithmetic, and the strict map, RTerrace and transform_hash,
+# which would carry lists that are already indices through element tuples
+ELEMENT_CALLS = {
+    "apply_power", "apply", "add", "sub", "neg", "scale", "decode",
+    "indices", "transform_hash", "RTerrace",
+}
 
 # the certificate path, construction to JSON, which works on element indices
 INDEX_PATH = (
     "latin.walecki_terrace",
+    "pipelines._try_cyclic_candidate",
     "template.theorem4_assign",
     "template.assemble",
     "pipelines._certify",
@@ -208,9 +214,11 @@ def _element_callers(sources: dict[str, ast.Module], targets) -> set[str]:
 
 
 def test_certificate_path_does_no_element_arithmetic():
-    """Walecki's terrace, the Theorem-4 arrangement, the gate's caller and
-    the JSON writer read and write indices: no tuple sum, twist or decode
-    per element.  A failed endpoint condition decodes its message apart."""
+    """Walecki's terrace, the cyclic candidate, the Theorem-4 arrangement,
+    the gate's caller and the JSON writer read and write indices: no tuple
+    sum, twist or decode per element, and no strict map, RTerrace or
+    transform_hash to carry Z_m ints through 1-tuples.  A failed endpoint
+    condition decodes its message apart."""
     sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert _element_callers(sources, INDEX_PATH) == set()
 
@@ -220,12 +228,15 @@ def test_element_call_detector():
         "def clean(enc, i):\n    return enc.quot(i, 0)\n\n"
         "def adds(A, x, y):\n    return A.add(x, y)\n\n"
         "def shows(decode, i):\n    return f'{decode(i)}'\n\n"
-        "def passes(enc):\n    return report(enc.decode)\n"
+        "def passes(enc):\n    return report(enc.decode)\n\n"
+        "def maps(enc, a):\n    return enc.indices(a.entries)\n\n"
+        "def wraps(A, xs):\n    return RTerrace(A, tuple((x,) for x in xs))\n\n"
+        "def scales(h, u):\n    return harmonious.transform_hash(h, 'scale', u)\n"
     )
     b = "class C:\n    def m(self, alpha, v):\n        return alpha.apply_power(2, v)\n"
     sources = {"a": ast.parse(a), "b": ast.parse(b)}
-    targets = ["a.clean", "a.adds", "a.shows", "a.passes", "b.C.m"]
-    assert _element_callers(sources, targets) == {"a.adds", "a.shows", "b.C.m"}
+    flagged = {"a.adds", "a.shows", "a.maps", "a.wraps", "a.scales", "b.C.m"}
+    assert _element_callers(sources, ["a.clean", "a.passes", *flagged]) == flagged
 
 
 def _cap_checks_raising_other(sources: dict[str, ast.Module]) -> set[str]:

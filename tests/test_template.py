@@ -4,9 +4,7 @@ import pytest
 
 from seqlatin.errors import ConditionsViolated, GroupFormatError, ShapeMismatch
 from seqlatin.groups import AbelianSpec, Automorphism, ScalarBlock, SdSpec, compile_index, cyclic
-from seqlatin.harmonious import HashHarmonious
 from seqlatin.latin import is_directed_terrace
-from seqlatin.rotational import make_r_terrace
 from seqlatin.template import (
     TemplateInputs,
     assemble,
@@ -18,15 +16,14 @@ from seqlatin.template import (
 
 Z7 = cyclic(7)
 SD_3_7 = SdSpec(3, Z7, Automorphism((ScalarBlock(7, 2),)))
-# verified instance over Z_3 x| Z_7: endpoint conditions hold with lam=2
+# verified instance over Z_3 x| Z_7: endpoint conditions hold with lam=2;
+# a Z_7 element is its own index
 TERRACE_3_7 = (5, 3, 4, 6, 2, 1)
 HASH_3_7 = (6, 4, 5, 1, 3, 2)
 
 
 def _inputs():
-    a = make_r_terrace(Z7, tuple((x,) for x in TERRACE_3_7))
-    c = HashHarmonious(Z7, tuple((x,) for x in HASH_3_7))
-    return theorem4_assign(a, c, SD_3_7, 2)
+    return theorem4_assign(TERRACE_3_7, HASH_3_7, SD_3_7, 2)
 
 
 def test_first_coordinates():
@@ -68,14 +65,11 @@ def test_assign_shift_and_rows():
 
 
 def test_assign_row_parity_q5():
-    group = cyclic(11)
-    sd = SdSpec(5, group, Automorphism((ScalarBlock(11, 3),)))
     from seqlatin.pipelines import sequence_cyclic
 
     cert = sequence_cyclic(5, 11)
-    a = make_r_terrace(group, tuple((x,) for x in cert.provenance["r_terrace"]))
-    c = HashHarmonious(group, tuple((x,) for x in cert.provenance["hash"]))
-    inputs = theorem4_assign(a, c, cert.group, cert.provenance["lam"])
+    prov = cert.provenance  # Z_11 lists, already base indices
+    inputs = theorem4_assign(prov["r_terrace"], prov["hash"], cert.group, prov["lam"])
     assert inputs.hss[0] == inputs.hss[2] == tuple(cert.provenance["hash"])
     assert inputs.hss[1] == inputs.hss[3]
     assert inputs.hss[1] != inputs.hss[0]
@@ -91,18 +85,26 @@ def test_assemble_is_terrace():
 
 
 def test_assign_rejects_wrong_ends():
-    a = make_r_terrace(Z7, tuple((x,) for x in (3, 4, 6, 2, 1, 5)))  # rotated
-    c = HashHarmonious(Z7, tuple((x,) for x in HASH_3_7))
+    rotated = (3, 4, 6, 2, 1, 5)
     with pytest.raises(ConditionsViolated) as exc:
-        theorem4_assign(a, c, SD_3_7, 2)
+        theorem4_assign(rotated, HASH_3_7, SD_3_7, 2)
     assert "condition 1" in str(exc.value)
 
 
 def test_assign_rejects_wrong_group():
-    a = make_r_terrace(Z7, tuple((x,) for x in TERRACE_3_7))
-    c = HashHarmonious(cyclic(9), tuple((x,) for x in (1, 2, 4, 8, 7, 5, 3, 6)))
-    with pytest.raises(ShapeMismatch):
-        theorem4_assign(a, c, SD_3_7, 2)
+    # base indices carry no group: a list from another group shows as the
+    # wrong length (a Z_9 sequence has 8 entries, not m - 1 = 6) or as an
+    # index outside the base (-1 and |A| = 7 are not Z_7 indices)
+    z9_hash = (1, 2, 4, 8, 7, 5, 3, 6)
+    for ais, cis in (
+        (TERRACE_3_7, z9_hash),
+        (TERRACE_3_7[:-1], HASH_3_7),
+        ((), ()),
+        ((5, 3, 4, 6, 2, -1), HASH_3_7),
+        (TERRACE_3_7, (6, 4, 5, 1, 3, 7)),
+    ):
+        with pytest.raises(ShapeMismatch):
+            theorem4_assign(ais, cis, SD_3_7, 2)
 
 
 def test_checklist_flags_broken_row():
@@ -132,10 +134,8 @@ def test_inputs_validate_lambda():
     from seqlatin.pipelines import sequence_cyclic
 
     cert = sequence_cyclic(5, 11)
-    group = cert.group.base
-    a = make_r_terrace(group, tuple((x,) for x in cert.provenance["r_terrace"]))
-    c = HashHarmonious(group, tuple((x,) for x in cert.provenance["hash"]))
-    inputs = theorem4_assign(a, c, cert.group, cert.provenance["lam"])
+    prov = cert.provenance
+    inputs = theorem4_assign(prov["r_terrace"], prov["hash"], cert.group, prov["lam"])
     assert checklist(inputs).all_pass
     bad = TemplateInputs(inputs.sd, 3, inputs.gs, inputs.hss)
     assert "g" in checklist(bad).failures()
@@ -149,10 +149,8 @@ def test_lambda_one_has_no_middle_segment():
     from seqlatin.pipelines import sequence_cyclic
 
     cert = sequence_cyclic(5, 11)
-    group = cert.group.base
-    a = make_r_terrace(group, tuple((x,) for x in cert.provenance["r_terrace"]))
-    c = HashHarmonious(group, tuple((x,) for x in cert.provenance["hash"]))
-    inputs = theorem4_assign(a, c, cert.group, cert.provenance["lam"])
+    prov = cert.provenance
+    inputs = theorem4_assign(prov["r_terrace"], prov["hash"], cert.group, prov["lam"])
     for lam in (1, 6):
         bad = TemplateInputs(inputs.sd, lam, inputs.gs, inputs.hss)
         assert "g" in checklist(bad).failures()
