@@ -42,7 +42,15 @@ class ConstructionFailed(SeqLatinError):
 
 
 class NotFound(SeqLatinError):
-    """An exhaustive or randomized search ended without a witness."""
+    """An exhaustive or randomized search ended without a witness.
+
+    A randomized search sets `nodes`, the nodes it opened, and `seed`;
+    a run over several seeds also sets `seeds`, the seeds it tried.
+    """
+
+    def __init__(self, message: str, *, nodes=None, seed=None, seeds=None):
+        super().__init__(message)
+        self.nodes, self.seed, self.seeds = nodes, seed, seeds
 
 
 class DeskScaleExceeded(SeqLatinError):

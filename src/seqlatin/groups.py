@@ -223,20 +223,6 @@ class AbelianSpec:
             return 1
         return math.lcm(*(m // math.gcd(m, x) for x, m in zip(a, self.factors)))
 
-    def cyclic_subgroup(self, a: Sequence[int]) -> set[AbElem]:
-        out = set()
-        cur = self.identity
-        while cur not in out:
-            out.add(cur)
-            cur = self.add(cur, a)
-        return out
-
-    def independent(self, a: Sequence[int], b: Sequence[int]) -> bool:
-        """True when the cyclic subgroups of a and b meet only in zero."""
-        sub_a = self.cyclic_subgroup(a)
-        sub_b = self.cyclic_subgroup(b)
-        return sub_a & sub_b == {self.identity}
-
     def _check(self, a):
         if len(a) != len(self.factors):
             raise ShapeMismatch(
@@ -596,6 +582,23 @@ class AbelianIndex:
     def decode(self, i: int) -> AbElem:
         return tuple(col[0] for col in self.columns([i]))
 
+    @cached_property
+    def subgroups(self) -> list[int]:
+        """The cyclic subgroup of each element as a bitmask of indices.
+
+        Bit h of subgroups[g] is set when g_h is a multiple of g_g, so two
+        elements' subgroups meet only in 0 when their masks share bit 0
+        alone, and a mask's bit count is its element's order.
+        """
+        masks = []
+        for g in range(self._spec.order):
+            step, mask, cur = self.row(g), 0, 0
+            while not mask >> cur & 1:
+                mask |= 1 << cur
+                cur = step[cur]
+            masks.append(mask)
+        return masks
+
     def row(self, g: int, offset: int = 0) -> list[int]:
         """index(g + h) + offset for every h, in elements() order."""
         last = self._last
@@ -744,11 +747,13 @@ def compile_index(group):
         .columns(is)    coordinate k of the element at each index, for
                         every k: u first for a semidirect product
         .row(g)         row(g)[h] is the index of g*h
-    for indices g, h, i and j, and an SdIndex also has .twist(e), the
-    index of alpha^e(v) for every base index v.  One encoder serves every
-    caller of a group: the last 32 compiled are kept, keyed as the square
-    cache is, by value for AbelianSpec and SdSpec and by identity for a
-    TableGroup (the key keeps the group alive).  An encoder holds O(n)
+    for indices g, h, i and j.  An SdIndex also has .twist(e), the
+    index of alpha^e(v) for every base index v, and an AbelianIndex
+    .subgroups, the cyclic subgroup of each element as a bitmask of
+    indices.  One encoder serves every caller of a group: the last 32
+    compiled are kept, keyed as the square cache is, by value for
+    AbelianSpec and SdSpec and by identity for a TableGroup (the key
+    keeps the group alive).  An encoder holds O(n)
     ints besides a table group's own table, each table built on first
     use, and each row is built on demand in O(n) list operations.
     """

@@ -6,7 +6,9 @@ difference a_1 - a_{m-1}) also run through the non-identity elements
 exactly once.  A star at position i means a_i = a_{i-1} + a_{i+1}
 (cyclic); standard form puts a star at the first position.
 
-Indices here are 0-based throughout, including star indices.
+Positions are 0-based throughout, including star indices.  Terraces
+hold elements; the randomized search works on the element indices of
+compile_index(group) and decodes only the terrace it returns.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     NotATerrace,
     NotFound,
 )
-from .groups import AbElem, AbelianSpec
+from .groups import AbElem, AbelianSpec, compile_index
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,24 @@ def fgm_extend_many(base: RTerrace, b: AbelianSpec) -> RTerrace:
 # constrained randomized search
 
 
+def _order_constraints(element_orders: Sequence[tuple[int, int]], n: int) -> dict[int, int]:
+    """{position: order} of (index, order) pairs over n positions.
+
+    An index lies in -n..n-1, negative ones counting from the end, an
+    order is an int >= 1 (not a bool), and a position is constrained once.
+    """
+    order_at: dict[int, int] = {}
+    for idx, order in element_orders:
+        if type(idx) is not int or not -n <= idx < n:
+            raise ValueError(f"element_orders index {idx!r} is outside {-n}..{n - 1}")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"element_orders order {order!r} must be an int >= 1")
+        if idx % n in order_at:
+            raise ValueError(f"element_orders constrains position {idx % n} twice")
+        order_at[idx % n] = order
+    return order_at
+
+
 def search_r_terrace(
     group: AbelianSpec,
     *,
@@ -145,13 +165,22 @@ def search_r_terrace(
     star              -- require standard form (star at 0)
     independent_ends  -- <a_0> and <a_last> meet only in 0
     element_orders    -- (index, order) pairs; negative indices count
-                         from the end
+                         from the end; a bad index or order, or a
+                         position named twice, raises ValueError
 
-    One randomized run with the given seed; raises NotFound once the
-    node budget is spent, and the caller may retry with another seed.
+    One randomized run with the given seed; raises NotFound, carrying
+    the nodes opened and the seed, once the node budget is spent or the
+    space is exhausted, and the caller may retry with another seed.
     The open nodes live on an explicit stack, one shuffled candidate
     iterator each, so neither the result nor the speed depends on the
     caller's stack depth.
+
+    The search runs on the indices of compile_index(group): differences
+    come from a table of index(g_x - g_p) built once per call, subgroups
+    meet only in 0 when their masks share bit 0 alone, and a mask's bit
+    count is its element's order.  Index order is elements() order, so
+    every node shuffles the same candidate list as a search on the
+    elements would.  Only the returned terrace holds elements.
     """
     cap = desk_cap(250)
     m = group.order
@@ -162,55 +191,59 @@ def search_r_terrace(
     if m == 1:
         raise GroupFormatError("no non-identity elements to arrange")
     n = m - 1
+    order_at = _order_constraints(element_orders, n)
     rng = random.Random(seed)
-    zero = group.identity
-    order_at = {idx % n: order for idx, order in element_orders}
+    enc = compile_index(group)
+    span = range(m)
+    flat = enc.diffs([p for p in span for _ in span], list(span) * m)
+    diff = [flat[p : p + m] for p in range(0, m * m, m)]  # diff[p][x]: g_x - g_p
+    masks = enc.subgroups
     order_positions: dict[int, list[int]] = {}
     for idx, o in sorted(order_at.items()):
         order_positions.setdefault(o, []).append(idx)
-    elements = [e for e in group.elements() if e != zero]
     order_pool = {
-        o: frozenset(x for x in elements if group.element_order(x) == o)
-        for o in order_positions
+        o: [x for x in range(1, m) if masks[x].bit_count() == o] for o in order_positions
     }
-    entries: list[AbElem] = []
-    used: set[AbElem] = set()
-    used_diffs: set[AbElem] = set()
+    # the candidates of each position, in index order
+    nonzero = list(range(1, m))
+    allowed = [order_pool[order_at[pos]] if pos in order_at else nonzero for pos in range(n)]
+    allowed_last = set(allowed[-1])
+    entries: list[int] = []
+    used = bytearray(m)  # used[x] is 1 once x is an entry
+    used_diffs = bytearray(m)  # and used_diffs[d] once d is a difference
     nodes = 0
-
-    def fits(pos: int, x: AbElem) -> bool:
-        return pos not in order_at or x in order_pool[order_at[pos]]
 
     def open_node():
         """Count the node at len(entries); return its shuffled candidates
         and the final entry it reserves (a pruned node has no candidates)."""
         nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
+        if nodes >= max_nodes:
             raise NotFound(
-                f"no R-terrace of order {m} found within {max_nodes} nodes (seed {seed})"
+                f"no R-terrace of order {m} found within {max_nodes} nodes (seed {seed})",
+                nodes=nodes,
+                seed=seed,
             )
+        nodes += 1
         pos = len(entries)
         for o, idxs in order_positions.items():
             needed = len(idxs) - bisect.bisect_left(idxs, pos)
-            if needed and sum(1 for x in order_pool[o] if x not in used) < needed:
+            pool = order_pool[o]
+            if needed and len(pool) - sum(map(used.__getitem__, pool)) < needed:
                 return iter(()), None
         last = None
         if star and n > 2 and pos >= 2:
             # standard form a_0 = a_last + a_1 fixes the final entry, and
             # the wrap difference a_0 - a_last is a_1: reserve both while
             # filling the middle
-            last = group.sub(entries[0], entries[1])
-            if last in used or not fits(n - 1, last):
+            last = diff[entries[1]][entries[0]]
+            if used[last] or last not in allowed_last:
                 return iter(()), None
-            if independent_ends and not group.independent(entries[0], last):
+            if independent_ends and masks[entries[0]] & masks[last] != 1:
                 return iter(()), None
         if pos == n - 1 and last is not None:
             candidates = [last]
         else:
-            candidates = [
-                x for x in elements if x not in used and x != last and fits(pos, x)
-            ]
+            candidates = [x for x in allowed[pos] if not used[x] and x != last]
         rng.shuffle(candidates)
         return iter(candidates), last
 
@@ -219,21 +252,23 @@ def search_r_terrace(
         candidates, last = stack[-1]
         pos = len(entries)
         d = None
+        step = diff[entries[-1]] if entries else ()
         for x in candidates:
             if pos == 0:
                 break
-            d = group.sub(x, entries[-1])
-            if d in used_diffs:
+            d = step[x]
+            if used_diffs[d]:
                 continue
             if last is not None and pos < n - 1 and d == entries[1]:
                 continue
             if pos == n - 1:
-                wd = group.sub(entries[0], x)
-                if wd in used_diffs or wd == d:
+                wd = diff[x][entries[0]]
+                if used_diffs[wd] or wd == d:
                     continue
-                if star and entries[0] != group.add(x, entries[1] if n > 2 else x):
+                # standard form: a_0 - a_last is a_1 (a_last itself when n = 2)
+                if star and wd != (entries[1] if n > 2 else x):
                     continue
-                if independent_ends and not group.independent(entries[0], x):
+                if independent_ends and masks[entries[0]] & masks[x] != 1:
                     continue
             break
         else:
@@ -249,18 +284,22 @@ def search_r_terrace(
                     )
                     if value
                 ]
-                raise NotFound(f"search space exhausted for order {m} under {named}")
+                raise NotFound(
+                    f"search space exhausted for order {m} under {named}",
+                    nodes=nodes,
+                    seed=seed,
+                )
             x = entries.pop()
-            used.remove(x)
+            used[x] = 0
             if entries:
-                used_diffs.remove(group.sub(x, entries[-1]))
+                used_diffs[diff[entries[-1]][x]] = 0
             continue
         entries.append(x)
-        used.add(x)
+        used[x] = 1
         if d is not None:
-            used_diffs.add(d)
+            used_diffs[d] = 1
         if len(entries) == n:
-            return RTerrace(group, tuple(entries), 0 if star else None)
+            return RTerrace(group, tuple(zip(*enc.columns(entries))), 0 if star else None)
         stack.append(open_node())
 
 
@@ -273,9 +312,15 @@ def search_r_terrace_retry(
     seeds: Sequence[int] = range(8),
     max_nodes: int = 200_000,
 ) -> RTerrace:
-    """Run search_r_terrace over several seeds, returning the first hit."""
-    err: Optional[NotFound] = None
+    """Run search_r_terrace over several seeds, returning the first hit.
+
+    The NotFound of the last seed, when every seed fails, also carries
+    `seeds`, the seeds tried.
+    """
+    err = NotFound("no seeds supplied", nodes=0)
+    tried: list[int] = []
     for s in seeds:
+        tried.append(s)
         try:
             return search_r_terrace(
                 group,
@@ -287,4 +332,5 @@ def search_r_terrace_retry(
             )
         except NotFound as e:
             err = e
-    raise err if err is not None else NotFound("no seeds supplied")
+    err.seeds = tuple(tried)
+    raise err

@@ -83,13 +83,28 @@ def test_element_order():
 
 
 def test_independent():
+    """Cyclic subgroups meet only in 0 when their masks share bit 0 alone."""
+
+    def independent(g, a, b):
+        enc = compile_index(g)
+        i, j = enc.indices([a, b])
+        return enc.subgroups[i] & enc.subgroups[j] == 1
+
     z15 = cyclic(15)
-    assert z15.independent((3,), (5,))
-    assert not z15.independent((3,), (6,))
+    assert independent(z15, (3,), (5,))
+    assert not independent(z15, (3,), (6,))
     g = AbelianSpec((5, 5))
-    assert g.independent((1, 0), (0, 1))
-    assert g.independent((1, 2), (1, 3))
-    assert not g.independent((1, 0), (2, 0))
+    assert independent(g, (1, 0), (0, 1))
+    assert independent(g, (1, 2), (1, 3))
+    assert not independent(g, (1, 0), (2, 0))
+    # a mask is the subgroup's index set, so its bit count is the order
+    for g in (z15, g, AbelianSpec((3, 5)), AbelianSpec((9, 3))):
+        enc = compile_index(g)
+        elems = list(g.elements())
+        for e, mask in zip(elems, enc.subgroups):
+            multiples = {tuple(k * x % m for x, m in zip(e, g.factors)) for k in range(g.order)}
+            assert mask == sum(1 << i for i in enc.indices(multiples))
+            assert mask.bit_count() == g.element_order(e)
 
 
 def test_shape_mismatch():

@@ -204,7 +204,11 @@ def test_search_z5sq_star_independent():
     t = search_r_terrace(g, star=True, independent_ends=True)
     assert check_r_terrace(t.group, t.entries).is_r
     assert t.is_standard
-    assert g.independent(t.entries[0], t.entries[-1])
+    # the cyclic subgroups of the ends meet only in 0
+    first, last = (
+        {tuple(k * x % 5 for x in e) for k in range(5)} for e in (t.entries[0], t.entries[-1])
+    )
+    assert first & last == {(0, 0)}
 
 
 def test_search_seeded_reproducible():
@@ -228,15 +232,54 @@ def test_search_element_orders():
     assert g.element_order(t.entries[-1]) == 5
 
 
+@pytest.mark.parametrize(
+    "orders",
+    [
+        [(8, 3)],  # past the last position, not position 0 again
+        [(-9, 3)],  # before the first
+        [(0, 3), (0, 9)],  # one position twice
+        [(0, 3), (-8, 3)],  # the same position twice
+        [(0, 3.0)],
+        [(0, True)],
+        [(0, 0)],
+        [(1.0, 3)],
+    ],
+)
+def test_search_rejects_bad_element_orders(orders):
+    with pytest.raises(ValueError):
+        search_r_terrace(cyclic(9), element_orders=orders)
+
+
+def test_search_element_orders_span_every_position():
+    # -8 and 7 are the first and last of the 8 positions of Z_9
+    t = search_r_terrace(cyclic(9), element_orders=[(-8, 3), (7, 9)])
+    assert cyclic(9).element_order(t.entries[0]) == 3
+    assert cyclic(9).element_order(t.entries[7]) == 9
+
+
 def test_search_z5_star_fails():
     # Z_5 has no R*-terrace at all
-    with pytest.raises(NotFound, match=r"exhausted for order 5 under \['star'\]"):
-        search_r_terrace(cyclic(5), star=True, max_nodes=10_000)
+    with pytest.raises(NotFound, match=r"exhausted for order 5 under \['star'\]") as err:
+        search_r_terrace(cyclic(5), star=True, max_nodes=10_000, seed=4)
+    # the whole space is 17 nodes: a budget of 16 stops the search short
+    assert (err.value.nodes, err.value.seed, err.value.seeds) == (17, 4, None)
+    with pytest.raises(NotFound, match="within 16 nodes"):
+        search_r_terrace(cyclic(5), star=True, max_nodes=16, seed=4)
 
 
 def test_search_node_budget():
-    with pytest.raises(NotFound, match="within 3 nodes"):
+    with pytest.raises(NotFound, match="within 3 nodes") as err:
         search_r_terrace(cyclic(45), star=True, max_nodes=3)
+    assert (err.value.nodes, err.value.seed) == (3, 0)
+
+
+def test_search_retry_names_its_seeds():
+    with pytest.raises(NotFound, match="within 3 nodes \\(seed 6\\)") as err:
+        search_r_terrace_retry(cyclic(45), star=True, max_nodes=3, seeds=range(4, 7))
+    assert (err.value.nodes, err.value.seed, err.value.seeds) == (3, 6, (4, 5, 6))
+    with pytest.raises(NotFound, match="no seeds supplied") as err:
+        search_r_terrace_retry(cyclic(45), seeds=())
+    assert (err.value.nodes, err.value.seed, err.value.seeds) == (0, None, ())
 
 
 def test_search_desk_cap(monkeypatch):

@@ -14,7 +14,12 @@ written as its repr (a certificate as sorted compact JSON of to_json())
 and hashed with blake2b-128; the search digests were recorded before the
 searches became loops, so a change to one shuffle draw, candidate order
 or node count fails here, and the product digests before fgm_extend
-lost its stream helpers.
+lost its stream helpers.  The mixed-radix digests cover
+`search_r_terrace` on Z_3 x Z_5 and Z_5 x Z_3 with a star (seeds 0-3,
+and Z_3 x Z_5 with independent ends too), the line digests the
+`_pk_base(p, 1, s)` path that searches Z_p itself, for p = 13 and 23,
+and one budget-hit NotFound its message; these were recorded before the
+search moved onto element indices.
 """
 
 import hashlib
@@ -22,9 +27,11 @@ import json
 
 import pytest
 
+from seqlatin.errors import NotFound
 from seqlatin.graceful import graceful_to_r_terrace, graceful_with_first, walecki_graceful
 from seqlatin.pipelines import _pk_base, sequence_theorem3
-from seqlatin.rotational import RTerrace, fgm_extend
+from seqlatin.groups import AbelianSpec, cyclic
+from seqlatin.rotational import RTerrace, fgm_extend, search_r_terrace
 
 SQUARE_BASE_DIGESTS = [
     "dbd1324399c546d071d4da355fa3d28c",  # seed 0
@@ -59,6 +66,45 @@ GRACEFUL_DIGESTS = [
     "af76a1108d5acca33da17b8b97c68f78",  # k 31..40
 ]
 
+MIXED_DIGESTS = {
+    (3, 5): [
+        "2ea13ae27d21b38308f8218000e40c61",  # seed 0
+        "9fded99249277643146d8f4526a48012",  # seed 1
+        "40559e7fc71116ae98d1282e92376c6f",  # seed 2
+        "0b63b2744df18e7c77e9ea0b48c96da6",  # seed 3
+    ],
+    (5, 3): [
+        "6682e5e8bc5deb8bcfb9efa22783892e",  # seed 0
+        "537df97fd855f9708feb3e5798fa7014",  # seed 1
+        "7caf89f9066832e6411c29b214115c8f",  # seed 2
+        "9001226bc1b8fb094671306511521a02",  # seed 3
+    ],
+}
+
+MIXED_INDEPENDENT_DIGESTS = [
+    "2025a018c79cd21215cab0d42b1a5db0",  # seed 0
+    "37c3fa6ed9021fae4ad9071dde6c938a",  # seed 1
+    "9fa8cea19297ff5522e6bd3199cb1099",  # seed 2
+    "1f6e8b2930310a408b16de6acff153f3",  # seed 3
+]
+
+LINE_DIGESTS = {
+    13: [
+        "819c91a5703426aa6611c4a42425822d",  # seed 0
+        "dd927c89548844418a0d74f786fb1310",  # seed 1
+        "a3eebd5ba42d8db6ce62a6e8748276e6",  # seed 2
+        "84677a7bc5addd0a44d590dcdaf2141c",  # seed 3
+    ],
+    23: [
+        "66fb94d351b643908f841911ed110e9d",  # seed 0
+        "eb73a7d2dea96d3fbb6bcb687c3deea4",  # seed 1
+        "d9844aa127bab35ac2d76f94c350069e",  # seed 2
+        "8545d70ed7405f5c1ba2cf716ab0b6ad",  # seed 3
+    ],
+}
+
+BUDGET_MESSAGE_DIGEST = "25bb07563340d8e93c8eff8333da7dcf"
+
 FGM_WIDTHS = (5, 7, 11, 13, 17, 19, 23, 25, 29)
 
 FGM_DIGESTS = {
@@ -88,6 +134,31 @@ def test_theorem3_nine_p5(seed):
     cert = sequence_theorem3(5, 3, nine=True, seed=seed)
     text = json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":"))
     assert digest(text) == NINE_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("factors", MIXED_DIGESTS)
+def test_mixed_radix_star(factors, seed):
+    t = search_r_terrace(AbelianSpec(factors), star=True, seed=seed)
+    assert digest(repr(t)) == MIXED_DIGESTS[factors][seed]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mixed_radix_star_independent(seed):
+    t = search_r_terrace(AbelianSpec((3, 5)), star=True, independent_ends=True, seed=seed)
+    assert digest(repr(t)) == MIXED_INDEPENDENT_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", LINE_DIGESTS)
+def test_line_base(p, seed):
+    assert digest(repr(_pk_base(p, 1, seed))) == LINE_DIGESTS[p][seed]
+
+
+def test_budget_message():
+    with pytest.raises(NotFound) as err:
+        search_r_terrace(cyclic(45), star=True, max_nodes=3)
+    assert digest(repr(str(err.value))) == BUDGET_MESSAGE_DIGEST
 
 
 @pytest.mark.parametrize("block", range(4))

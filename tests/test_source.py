@@ -1,8 +1,9 @@
 """Package sources compile without warnings, import without sympy, hold
 no recursive closures, keep the reference checkers independent, run the
 terrace gate only where its fact is checked, build squares in one place,
-build certificates without element arithmetic, refuse every desk cap
-with one exception, and use every public definition outside the oracle."""
+build certificates and search R-terraces without element arithmetic,
+refuse every desk cap with one exception, and use every public definition
+outside the oracle."""
 
 import ast
 import subprocess
@@ -191,9 +192,16 @@ INDEX_PATH = (
 )
 
 
-def _element_callers(sources: dict[str, ast.Module], targets) -> set[str]:
+# element arithmetic on tuples, which the R-terrace search does on indices;
+# its returned RTerrace is where it decodes to elements
+SEARCH_CALLS = {
+    "add", "sub", "neg", "scale", "independent", "cyclic_subgroup", "element_order",
+}
+
+
+def _element_callers(sources: dict[str, ast.Module], targets, banned=ELEMENT_CALLS) -> set[str]:
     """Each target, module.function or module.Class.method, whose body calls
-    a name in ELEMENT_CALLS, bare or as an attribute."""
+    a name in `banned`, bare or as an attribute."""
     found = set()
     for target in targets:
         module, *path = target.split(".")
@@ -208,7 +216,7 @@ def _element_callers(sources: dict[str, ast.Module], targets) -> set[str]:
             for c in ast.walk(node)
             if isinstance(c, ast.Call)
         }
-        if called & ELEMENT_CALLS:
+        if called & banned:
             found.add(target)
     return found
 
@@ -221,6 +229,14 @@ def test_certificate_path_does_no_element_arithmetic():
     condition decodes its message apart."""
     sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert _element_callers(sources, INDEX_PATH) == set()
+
+
+def test_search_does_no_element_arithmetic():
+    """The R-terrace search takes differences from its table of indices and
+    tests independence and element orders on subgroup masks: no tuple sum,
+    difference or subgroup per node."""
+    sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert _element_callers(sources, ["rotational.search_r_terrace"], SEARCH_CALLS) == set()
 
 
 def test_element_call_detector():
@@ -237,6 +253,16 @@ def test_element_call_detector():
     sources = {"a": ast.parse(a), "b": ast.parse(b)}
     flagged = {"a.adds", "a.shows", "a.maps", "a.wraps", "a.scales", "b.C.m"}
     assert _element_callers(sources, ["a.clean", "a.passes", *flagged]) == flagged
+    c = (
+        "def search(A, enc, xs):\n    return RTerrace(A, tuple(zip(*enc.columns(xs))))\n\n"
+        "def nested(A, x, y):\n    def step():\n        return A.sub(x, y)\n    return step\n\n"
+        "def subgroup(A, x):\n    return A.cyclic_subgroup(x)\n\n"
+        "def meets(A, x, y):\n    return independent(x, y)\n\n"
+        "def orders(A, xs):\n    return [A.element_order(x) for x in xs]\n"
+    )
+    sources = {"c": ast.parse(c)}
+    flagged = {"c.nested", "c.subgroup", "c.meets", "c.orders"}
+    assert _element_callers(sources, ["c.search", *flagged], SEARCH_CALLS) == flagged
 
 
 def _cap_checks_raising_other(sources: dict[str, ast.Module]) -> set[str]:
