@@ -26,7 +26,6 @@ from .groups import (
     AbelianSpec,
     SdSpec,
     _int,
-    compile_index,
     group_from_descriptor,
     group_to_descriptor,
 )
@@ -222,7 +221,7 @@ def cmd_verify(args) -> int:
             raw = fh.read()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         print(f"not JSON: {exc}", file=sys.stderr)
         return 2
     cert = doc.get("certificate", doc) if isinstance(doc, dict) else None
@@ -238,14 +237,13 @@ def cmd_verify(args) -> int:
     claimed = _decode_entries(group, cert["sequencing"])
     # a terrace lists each element once, so a wrong length is answered
     # without enumerating a group whose declared order may be huge
-    enc = compile_index(group)
     try:
-        idx = enc.indices(terrace) if len(terrace) == group.order else None
+        idx = group.indices(terrace) if len(terrace) == group.order else None
     except ShapeMismatch:  # an element of the wrong length: not a terrace
         idx = None
     ok, quots = (False, []) if idx is None else is_directed_terrace(group, idx)
     try:
-        seq_ok = ok and enc.indices(claimed) == quots
+        seq_ok = ok and group.indices(claimed) == quots
     except ShapeMismatch:
         seq_ok = False
     checks = {"terrace": ok, "sequencing": seq_ok}
@@ -284,7 +282,11 @@ def cmd_graceful(args) -> int:
 
 def cmd_search(args) -> int:
     with open(args.group) as fh:
-        descriptor = json.load(fh)
+        try:
+            descriptor = json.load(fh)
+        except RecursionError as exc:  # nested past the stack: as for non-JSON
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     group = group_from_descriptor(descriptor)
     limit = 1 if args.limit is None and not args.exhaustive else args.limit
     res = exhaustive_sequencings(group, limit=limit, jobs=args.jobs)

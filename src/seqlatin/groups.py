@@ -1,6 +1,6 @@
 """Finite groups used throughout the package.
 
-Three concrete group representations share one informal protocol:
+Three group classes, one per kind, share one protocol:
 
     .order          number of elements
     .identity       the identity element
@@ -17,14 +17,24 @@ factor, always reduced mod the factor.  Semidirect elements are pairs
 (u, v) with u an int mod s and v an abelian element.  Table elements are
 the indices 0..n-1 into the table itself.
 
-compile_index(group) gives the one integer encoding of any of the three,
-memoized per group: an element is its position in elements(), row(g)
-lists the indices of g*h over every h, quot(i, j) is the index of
-inv(g_i)*g_j and quots(idx) every consecutive quotient of an index list
-in one loop.  The constructions of the certificate path, the terrace
-gate, certificates, squares and the exhaustive oracle work on indices;
-the strict map indices(elems) reads outside input into them, and
-columns(idx) writes them back out as coordinates.
+Each class also owns the group's integer encoding: an element is its
+position in elements(), and for indices g, h, i and j
+
+    .indices(es)    strict positions of outside input, or None when
+                    some entry is not an element
+    .quot(i, j)     index of inv(g_i) * g_j
+    .quots(idx)     quot of every consecutive pair of an index list
+    .decode(i)      the element at index i
+    .columns(idx)   coordinate k of the element at each index, for
+                    every k: u first for a semidirect product
+    .row(g)         row(g)[h] is the index of g * h
+
+with .diffs and .subgroups on an AbelianSpec and .twist on an SdSpec.
+The constructions of the certificate path, the terrace gate,
+certificates, squares and the exhaustive oracle work on indices.  A
+group builds each of its tables, O(n) ints, on first use and keeps it
+out of its dataclass fields, so repr, == and hash see the fields alone;
+each row is built on demand in O(n) list operations.
 
 The JSON descriptor for a group is one of
 
@@ -41,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -50,9 +60,14 @@ from .errors import (
     OrderMismatch,
     ShapeMismatch,
 )
+from .numtheory import is_prime
 
 AbElem = tuple[int, ...]
 SdElem = tuple[int, AbElem]
+
+# the widest matrix block read: the pipelines build width 4 at most, and
+# the automorphism check costs width^3 per step
+MATRIX_WIDTH_LIMIT = 8
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +183,13 @@ class AbelianSpec:
     An empty factor list is the trivial group with single element ().
     Elements enumerate in mixed-radix order, leftmost coordinate most
     significant, so an element's index is its mixed-radix value.
+
+    row(g) lists index(g + h) for every h in elements() order.  Translating
+    by g rotates the last coordinate inside each run of equal leading
+    coordinates, and moves the runs as the leading coordinates' own row
+    says, so a row is a concatenation of slices of doubled runs; no cell
+    is computed on its own.  quot works on the same split: the last
+    coordinate by arithmetic, the rest by the lead.
     """
 
     factors: tuple[int, ...]
@@ -179,7 +201,7 @@ class AbelianSpec:
             if not isinstance(m, int) or m < 2:
                 raise GroupFormatError(f"cyclic factor {m!r} must be an int >= 2")
 
-    @property
+    @cached_property
     def order(self) -> int:
         return math.prod(self.factors)
 
@@ -229,6 +251,115 @@ class AbelianSpec:
                 f"element of length {len(a)} in group with {len(self.factors)} factors"
             )
 
+    # integer encoding
+
+    @cached_property
+    def _last(self) -> int:
+        return self.factors[-1] if self.factors else 1
+
+    @cached_property
+    def _lead(self) -> Optional[AbelianSpec]:
+        """The group of every coordinate but the last, or None when that is trivial."""
+        return AbelianSpec(self.factors[:-1]) if len(self.factors) > 1 else None
+
+    def _run_table(self, span: int) -> list[list[int]]:
+        """The doubled runs of last-coordinate indices that cover 0..span-1."""
+        last = self._last
+        return [list(range(lo, lo + last)) * 2 for lo in range(0, span, last)]
+
+    @cached_property
+    def _runs(self) -> list[list[int]]:
+        return self._run_table(self.order)
+
+    def indices(self, elems) -> Optional[list[int]]:
+        """index(e) for every e, or None when one is not an element.
+
+        The strict map for outside input: a coordinate outside 0..m-1 is
+        not an element and is not reduced mod m, and an element of the
+        wrong length raises ShapeMismatch.
+        """
+        elems = list(elems)
+        factors = self.factors
+        k = len(factors)
+        if list(map(len, elems)).count(k) != len(elems):
+            raise ShapeMismatch(f"element of the wrong length in group with {k} factors")
+        cols = list(zip(*elems))
+        if not cols:  # the trivial group, or no elements
+            return [0] * len(elems)
+        for col, m in zip(cols, factors):
+            if min(col) < 0 or max(col) >= m:
+                return None
+        idx = list(cols[0])
+        for col, m in zip(cols[1:], factors[1:]):
+            idx = [i * m + x for i, x in zip(idx, col)]
+        return idx
+
+    def quot(self, i: int, j: int) -> int:
+        """index(g_j - g_i): digitwise subtraction."""
+        last = self._last
+        if self._lead is None:
+            return (j - i) % last
+        return self._lead.quot(i // last, j // last) * last + (j - i) % last
+
+    def diffs(self, xs, ys) -> list[int]:
+        """quot(x, y) for every pair, one loop per factor."""
+        last = self._last
+        tail = [(j - i) % last for i, j in zip(xs, ys)]
+        if self._lead is None:
+            return tail
+        head = self._lead.diffs([i // last for i in xs], [j // last for j in ys])
+        return [h * last + t for h, t in zip(head, tail)]
+
+    def quots(self, idx) -> list[int]:
+        """quot(idx[k], idx[k + 1]) for every k of an index list."""
+        return self.diffs(idx, idx[1:])
+
+    def columns(self, idx) -> list[list[int]]:
+        """Coordinate k of the element at each index, for every factor k."""
+        factors = self.factors
+        cols = []
+        for m in reversed(factors[1:]):
+            cols.append([i % m for i in idx])
+            idx = [i // m for i in idx]
+        return [list(idx), *reversed(cols)] if factors else []
+
+    def decode(self, i: int) -> AbElem:
+        return tuple(col[0] for col in self.columns([i]))
+
+    @cached_property
+    def subgroups(self) -> list[int]:
+        """The cyclic subgroup of each element as a bitmask of indices.
+
+        Bit h of subgroups[g] is set when g_h is a multiple of g_g, so two
+        elements' subgroups meet only in 0 when their masks share bit 0
+        alone, and a mask's bit count is its element's order.
+        """
+        masks = []
+        for g in range(self.order):
+            step, mask, cur = self.row(g), 0, 0
+            while not mask >> cur & 1:
+                mask |= 1 << cur
+                cur = step[cur]
+            masks.append(mask)
+        return masks
+
+    def row(self, g: int) -> list[int]:
+        """index(g + h) for every h, in elements() order."""
+        return self._row(g, self._runs, 0)
+
+    def _row(self, g: int, runs: list[list[int]], first: int) -> list[int]:
+        """row(g) read from `runs` starting at run `first`: an SdSpec passes
+        its own run table, which spans its order, to offset a base row."""
+        last = self._last
+        lead, c = divmod(g, last)
+        stop = c + last
+        if self._lead is None:
+            return runs[first][c:stop]
+        out: list[int] = []
+        for p in self._lead.row(lead):
+            out += runs[first + p][c:stop]
+        return out
+
 
 def cyclic(n: int) -> AbelianSpec:
     return AbelianSpec((n,))
@@ -267,7 +398,12 @@ class ScalarBlock:
 
 @dataclass(frozen=True)
 class MatrixBlock:
-    """A run of coordinates mod the same prime p, acted on by a matrix."""
+    """A run of coordinates mod the same prime p, acted on by a matrix.
+
+    The width is at most MATRIX_WIDTH_LIMIT and p a prime that
+    numtheory.is_prime decides (above its factoring limit it raises
+    DeskScaleExceeded), so every power costs a bounded number of steps.
+    """
 
     p: int
     mat: tuple[tuple[int, ...], ...]
@@ -279,6 +415,12 @@ class MatrixBlock:
         object.__setattr__(self, "mat", rows)
         if any(len(row) != len(rows) for row in rows):
             raise GroupFormatError("matrix block must be square")
+        if len(rows) > MATRIX_WIDTH_LIMIT:
+            raise GroupFormatError(
+                f"matrix block width {len(rows)} exceeds {MATRIX_WIDTH_LIMIT}"
+            )
+        if not is_prime(self.p):
+            raise GroupFormatError(f"matrix block modulus {self.p} is not a prime")
         try:
             mat_inv(rows, self.p)
         except ShapeMismatch:
@@ -289,7 +431,11 @@ class MatrixBlock:
         return len(self.mat)
 
     def is_identity_power(self, e: int) -> bool:
-        return mat_pow(self.mat, e, self.p) == mat_identity(self.width)
+        """Whether mat^e = 1, with e reduced mod |GL(width, p)|, which every
+        invertible matrix's order divides."""
+        p, w = self.p, self.width
+        gl_order = math.prod(p**w - p**i for i in range(w))
+        return mat_pow(self.mat, e % gl_order, p) == mat_identity(w)
 
     @cached_property
     def _powers(self) -> dict[int, tuple[tuple[int, ...], ...]]:
@@ -357,6 +503,13 @@ class SdSpec:
     Elements are pairs (u, v), u in Z_s and v in base.  The product is
         (u, v) * (x, y) = (u + x, alpha^x(v) + y)
     so alpha twists the left factor by how far the right one moves.
+
+    (u, v) sits at index u * |A| + index(v), so the row of (u, v) is, for
+    each x, the base row of alpha^x(v) offset by ((u + x) mod s) * |A|,
+    and the quotient inv(u, v) * (x, y) is (d, y - alpha^d(v)) with
+    d = x - u.  Besides the base's own tables, the group keeps the base
+    runs spanning its order, which offset base rows with no per-cell
+    arithmetic, and index(alpha^x(v)) for every x and v: s * |A| ints.
     """
 
     s: int
@@ -396,6 +549,89 @@ class SdSpec:
         u, v = g
         nu = (-u) % self.s
         return (nu, self.base.neg(self.alpha.apply_power(nu, v)))
+
+    # integer encoding
+
+    @cached_property
+    def _runs(self) -> list[list[int]]:
+        return self.base._run_table(self.order)
+
+    @cached_property
+    def _twists(self) -> list[list[int]]:
+        # index(alpha(v)) for every v: alpha acts blockwise, and blocks
+        # cover the coordinates in order, so index(alpha(v)) is the
+        # mixed-radix value of the blocks' images, each indexed in its block
+        once = [0]
+        for b in self.alpha.blocks:
+            if isinstance(b, ScalarBlock):
+                images = [b.unit * x % b.modulus for x in range(b.modulus)]
+            else:
+                sub = AbelianSpec((b.p,) * b.width)
+                images = sub.indices(b.apply_power(1, v) for v in sub.elements())
+            once = [p * len(images) + t for p in once for t in images]
+        twists = [list(range(self.base.order))]
+        for _ in range(1, self.s):
+            twists.append([once[i] for i in twists[-1]])
+        return twists
+
+    def indices(self, elems) -> Optional[list[int]]:
+        """Strict index of every (u, v), or None when one is not an element.
+
+        u must lie in 0..s-1 and v in the base as AbelianSpec.indices
+        reads it.
+        """
+        elems = list(elems)
+        if not elems:
+            return []
+        if list(map(len, elems)).count(2) != len(elems):
+            raise ShapeMismatch("a semidirect element is a pair (u, v)")
+        us, vs = zip(*elems)
+        vs = self.base.indices(vs)
+        if vs is None or min(us) < 0 or max(us) >= self.s:
+            return None
+        na = self.base.order
+        return [u * na + i for u, i in zip(us, vs)]
+
+    def twist(self, e: int) -> list[int]:
+        """index(alpha^e(v)) for every base index v."""
+        return self._twists[e % self.s]
+
+    def quot(self, i: int, j: int) -> int:
+        """index(inv(g_i) * g_j) = d * |A| + index(y - alpha^d(v))."""
+        na = self.base.order
+        d = (j // na - i // na) % self.s
+        return d * na + self.base.quot(self._twists[d][i % na], j % na)
+
+    def quots(self, idx) -> list[int]:
+        """quot(idx[k], idx[k + 1]) for every k of an index list."""
+        s, na, twists = self.s, self.base.order, self._twists
+        pairs = list(zip(idx, idx[1:]))
+        ds = [(j // na - i // na) % s for i, j in pairs]
+        if self.base._lead is None:  # one factor: subtract mod |A| inline
+            return [
+                d * na + (j - twists[d][i % na]) % na for d, (i, j) in zip(ds, pairs)
+            ]
+        vs = [twists[d][i % na] for d, (i, _) in zip(ds, pairs)]
+        diffs = self.base.diffs(vs, [j % na for _, j in pairs])
+        return [d * na + b for d, b in zip(ds, diffs)]
+
+    def columns(self, idx) -> list[list[int]]:
+        """u, then each base coordinate, of the element at each index."""
+        na = self.base.order
+        return [[i // na for i in idx], *self.base.columns([i % na for i in idx])]
+
+    def decode(self, i: int) -> SdElem:
+        na = self.base.order
+        return (i // na, self.base.decode(i % na))
+
+    def row(self, g: int) -> list[int]:
+        s, na, base, runs = self.s, self.base.order, self.base, self._runs
+        u, iv = divmod(g, na)
+        per = na // base._last  # base runs per coset of the base
+        out: list[int] = []
+        for x, twist in enumerate(self._twists):
+            out += base._row(twist[iv], runs, ((u + x) % s) * per)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,220 +732,8 @@ class TableGroup:
     def inv(self, a: int) -> int:
         return self._inv[self._element(a)]
 
-    def mul_table(self) -> list[list[int]]:
-        return [list(r) for r in self._rows]
-
-
-# ---------------------------------------------------------------------------
-# integer encoding: an element is its position in group.elements()
-
-
-class AbelianIndex:
-    """Mixed-radix encoding of an AbelianSpec.
-
-    row(g) lists index(g + h) for every h in elements() order.  Translating
-    by g rotates the last coordinate inside each run of equal leading
-    coordinates, and moves the runs as the leading coordinates' own row
-    says, so a row is a concatenation of slices of doubled runs; no cell
-    is computed on its own.  `span` (default the order) bounds the offsets
-    row() accepts: offset + order <= span.  quot works on the same split:
-    the last coordinate by arithmetic, the rest by the lead.
-    """
-
-    def __init__(self, spec: AbelianSpec, span: int = 0):
-        self._spec = spec
-        self._span = span or spec.order
-        *head, self._last = spec.factors or (1,)
-        self._lead = AbelianIndex(AbelianSpec(tuple(head))) if head else None
-
-    @cached_property
-    def _runs(self) -> list[list[int]]:
-        last = self._last
-        return [list(range(lo, lo + last)) * 2 for lo in range(0, self._span, last)]
-
-    def indices(self, elems) -> Optional[list[int]]:
-        """index(e) for every e, or None when one is not an element.
-
-        The strict map for outside input: a coordinate outside 0..m-1 is
-        not an element and is not reduced mod m, and an element of the
-        wrong length raises ShapeMismatch.
-        """
-        elems = list(elems)
-        factors = self._spec.factors
-        k = len(factors)
-        if list(map(len, elems)).count(k) != len(elems):
-            raise ShapeMismatch(f"element of the wrong length in group with {k} factors")
-        cols = list(zip(*elems))
-        if not cols:  # the trivial group, or no elements
-            return [0] * len(elems)
-        for col, m in zip(cols, factors):
-            if min(col) < 0 or max(col) >= m:
-                return None
-        idx = list(cols[0])
-        for col, m in zip(cols[1:], factors[1:]):
-            idx = [i * m + x for i, x in zip(idx, col)]
-        return idx
-
-    def quot(self, i: int, j: int) -> int:
-        """index(g_j - g_i): digitwise subtraction."""
-        last = self._last
-        if self._lead is None:
-            return (j - i) % last
-        return self._lead.quot(i // last, j // last) * last + (j - i) % last
-
-    def diffs(self, xs, ys) -> list[int]:
-        """quot(x, y) for every pair, one loop per factor."""
-        last = self._last
-        tail = [(j - i) % last for i, j in zip(xs, ys)]
-        if self._lead is None:
-            return tail
-        head = self._lead.diffs([i // last for i in xs], [j // last for j in ys])
-        return [h * last + t for h, t in zip(head, tail)]
-
-    def quots(self, idx) -> list[int]:
-        """quot(idx[k], idx[k + 1]) for every k of an index list."""
-        return self.diffs(idx, idx[1:])
-
-    def columns(self, idx) -> list[list[int]]:
-        """Coordinate k of the element at each index, for every factor k."""
-        factors = self._spec.factors
-        cols = []
-        for m in reversed(factors[1:]):
-            cols.append([i % m for i in idx])
-            idx = [i // m for i in idx]
-        return [list(idx), *reversed(cols)] if factors else []
-
-    def decode(self, i: int) -> AbElem:
-        return tuple(col[0] for col in self.columns([i]))
-
-    @cached_property
-    def subgroups(self) -> list[int]:
-        """The cyclic subgroup of each element as a bitmask of indices.
-
-        Bit h of subgroups[g] is set when g_h is a multiple of g_g, so two
-        elements' subgroups meet only in 0 when their masks share bit 0
-        alone, and a mask's bit count is its element's order.
-        """
-        masks = []
-        for g in range(self._spec.order):
-            step, mask, cur = self.row(g), 0, 0
-            while not mask >> cur & 1:
-                mask |= 1 << cur
-                cur = step[cur]
-            masks.append(mask)
-        return masks
-
-    def row(self, g: int, offset: int = 0) -> list[int]:
-        """index(g + h) + offset for every h, in elements() order."""
-        last = self._last
-        lead, c = divmod(g, last)
-        runs, first, stop = self._runs, offset // last, c + last
-        if self._lead is None:
-            return runs[first][c:stop]
-        out: list[int] = []
-        for p in self._lead.row(lead):
-            out += runs[first + p][c:stop]
-        return out
-
-
-class SdIndex:
-    """Encoding of an SdSpec: (u, v) sits at u * |A| + index(v).
-
-    Since (u, v) * (x, y) = (u + x, alpha^x(v) + y), the row of (u, v) is,
-    for each x, the base row of alpha^x(v) offset by ((u + x) mod s) * |A|,
-    and the quotient inv(u, v) * (x, y) is (d, y - alpha^d(v)) with
-    d = x - u.  Besides the base's runs, the one table kept for rows and
-    quotients is index(alpha^x(v)) for every x and v: s * |A| ints, the
-    group's order.
-    """
-
-    def __init__(self, group: SdSpec):
-        self._s, self._na = group.s, group.base.order
-        self._alpha = group.alpha
-        self._base = AbelianIndex(group.base, group.order)
-
-    @cached_property
-    def _twists(self) -> list[list[int]]:
-        # index(alpha(v)) for every v: alpha acts blockwise, and blocks
-        # cover the coordinates in order, so index(alpha(v)) is the
-        # mixed-radix value of the blocks' images, each indexed in its block
-        once = [0]
-        for b in self._alpha.blocks:
-            if isinstance(b, ScalarBlock):
-                images = [b.unit * x % b.modulus for x in range(b.modulus)]
-            else:
-                sub = AbelianSpec((b.p,) * b.width)
-                images = AbelianIndex(sub).indices(b.apply_power(1, v) for v in sub.elements())
-            once = [p * len(images) + t for p in once for t in images]
-        twists = [list(range(self._na))]
-        for _ in range(1, self._s):
-            twists.append([once[i] for i in twists[-1]])
-        return twists
-
-    def indices(self, elems) -> Optional[list[int]]:
-        """Strict index of every (u, v), or None when one is not an element.
-
-        u must lie in 0..s-1 and v in the base as AbelianIndex.indices
-        reads it.
-        """
-        elems = list(elems)
-        if not elems:
-            return []
-        if list(map(len, elems)).count(2) != len(elems):
-            raise ShapeMismatch("a semidirect element is a pair (u, v)")
-        us, vs = zip(*elems)
-        vs = self._base.indices(vs)
-        if vs is None or min(us) < 0 or max(us) >= self._s:
-            return None
-        na = self._na
-        return [u * na + i for u, i in zip(us, vs)]
-
-    def twist(self, e: int) -> list[int]:
-        """index(alpha^e(v)) for every base index v."""
-        return self._twists[e % self._s]
-
-    def quot(self, i: int, j: int) -> int:
-        """index(inv(g_i) * g_j) = d * |A| + index(y - alpha^d(v))."""
-        na = self._na
-        d = (j // na - i // na) % self._s
-        return d * na + self._base.quot(self._twists[d][i % na], j % na)
-
-    def quots(self, idx) -> list[int]:
-        """quot(idx[k], idx[k + 1]) for every k of an index list."""
-        s, na, twists = self._s, self._na, self._twists
-        pairs = list(zip(idx, idx[1:]))
-        ds = [(j // na - i // na) % s for i, j in pairs]
-        if self._base._lead is None:  # one factor: subtract mod |A| inline
-            return [
-                d * na + (j - twists[d][i % na]) % na for d, (i, j) in zip(ds, pairs)
-            ]
-        vs = [twists[d][i % na] for d, (i, _) in zip(ds, pairs)]
-        diffs = self._base.diffs(vs, [j % na for _, j in pairs])
-        return [d * na + b for d, b in zip(ds, diffs)]
-
-    def columns(self, idx) -> list[list[int]]:
-        """u, then each base coordinate, of the element at each index."""
-        na = self._na
-        return [[i // na for i in idx], *self._base.columns([i % na for i in idx])]
-
-    def decode(self, i: int) -> SdElem:
-        return (i // self._na, self._base.decode(i % self._na))
-
-    def row(self, g: int) -> list[int]:
-        s, na, base_row = self._s, self._na, self._base.row
-        u, iv = divmod(g, na)
-        out: list[int] = []
-        for x, twist in enumerate(self._twists):
-            out += base_row(twist[iv], ((u + x) % s) * na)
-        return out
-
-
-class TableIndex:
-    """A TableGroup is already encoded: its rows are the product rows."""
-
-    def __init__(self, group: TableGroup):
-        self._rows = group._rows
-        self._inv = group._inv
+    # integer encoding: a table group is already encoded, its rows are
+    # the product rows
 
     def indices(self, elems) -> Optional[list[int]]:
         """The elements themselves, or None when one is not an int in 0..n-1."""
@@ -732,38 +756,6 @@ class TableIndex:
 
     def row(self, g: int) -> list[int]:
         return list(self._rows[g])
-
-
-@lru_cache(maxsize=32)
-def compile_index(group):
-    """The integer encoding of a group, indices in group.elements() order.
-
-    The result has
-        .indices(es)    strict positions of outside input, or None when
-                        some entry is not an element
-        .quot(i, j)     index of inv(g_i) * g_j
-        .quots(is)      quot of every consecutive pair of an index list
-        .decode(i)      the element at index i
-        .columns(is)    coordinate k of the element at each index, for
-                        every k: u first for a semidirect product
-        .row(g)         row(g)[h] is the index of g*h
-    for indices g, h, i and j.  An SdIndex also has .twist(e), the
-    index of alpha^e(v) for every base index v, and an AbelianIndex
-    .subgroups, the cyclic subgroup of each element as a bitmask of
-    indices.  One encoder serves every caller of a group: the last 32
-    compiled are kept, keyed as the square cache is, by value for
-    AbelianSpec and SdSpec and by identity for a TableGroup (the key
-    keeps the group alive).  An encoder holds O(n)
-    ints besides a table group's own table, each table built on first
-    use, and each row is built on demand in O(n) list operations.
-    """
-    if isinstance(group, AbelianSpec):
-        return AbelianIndex(group)
-    if isinstance(group, SdSpec):
-        return SdIndex(group)
-    if isinstance(group, TableGroup):
-        return TableIndex(group)
-    raise GroupFormatError(f"cannot encode group of type {type(group).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +828,7 @@ def group_to_descriptor(group) -> dict:
         return {
             "table": {
                 "n": group.order,
-                "mul": group.mul_table(),
+                "mul": [group.row(g) for g in group.elements()],
                 "id": group.identity,
             }
         }

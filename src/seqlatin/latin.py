@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import NotATerrace, OddOrder
-from .groups import TableGroup, compile_index
+from .groups import TableGroup
 
 
 def is_directed_terrace(group, indices) -> tuple[bool, list[int]]:
@@ -31,9 +31,8 @@ def is_directed_terrace(group, indices) -> tuple[bool, list[int]]:
     included, makes the verdict False.  Byte marks over the indices
     0..n-1 check that every element appears once and that the quotients
     cover every index but the identity's.  Outside input is read into
-    indices by the encoder's strict map first.
+    indices by the group's strict map first.
     """
-    enc = compile_index(group)
     n = group.order
     if len(indices) != n or min(indices) < 0:
         return False, []
@@ -45,9 +44,9 @@ def is_directed_terrace(group, indices) -> tuple[bool, list[int]]:
         return False, []
     if 0 in marks:
         return False, []
-    quots = enc.quots(indices)
+    quots = group.quots(indices)
     marks = bytearray(n)
-    marks[enc.indices([group.identity])[0]] = 1
+    marks[group.indices([group.identity])[0]] = 1
     for q in quots:
         marks[q] = 1
     if 0 in marks:
@@ -82,7 +81,7 @@ def terrace_to_complete_square(group, terrace) -> LatinSquare:
     on every call, and the square is sequencing_square's, shared by every
     terrace with the same quotients.
     """
-    idx = compile_index(group).indices(terrace)
+    idx = group.indices(terrace)
     ok, quots = (False, []) if idx is None else is_directed_terrace(group, idx)
     if not ok:
         raise NotATerrace("row/column source must be a directed terrace")
@@ -92,7 +91,7 @@ def terrace_to_complete_square(group, terrace) -> LatinSquare:
 # The square cache: squares by (group, quotients), least recently used
 # first, each entry (square, cells charged).  A square and its report are
 # immutable, so every caller of an entry shares them.  The bound counts
-# cells: 8 bytes each, since cells point at the encoder's shared ints.  A
+# cells: 8 bytes each, since cells point at the group's shared ints.  A
 # table group's entry is charged its table as well, because the key keeps
 # the group alive, and every entry is charged _ENTRY_CELLS for its own
 # bookkeeping (about 500 bytes), so many tiny squares stay bounded too.
@@ -110,13 +109,14 @@ def sequencing_square(group, quotients) -> LatinSquare:
     Every terrace with these quotients is a left translate a_i = a_0 b_i
     of the one that starts at the identity, b_0 = e and b_{i+1} = b_i q_i,
     and a_i^-1 a_j = b_i^-1 b_j, so b's square is the square of each of
-    them: cell (i, j) is the index of b_i^-1 b_j.
+    them: cell (i, j) is the index of b_i^-1 b_j, read from the group's
+    own quot and row.
 
     The square comes from the cache or is built and stored.  AbelianSpec
     and SdSpec compare by value, so an equal group rebuilt from its
-    descriptor hits; a TableGroup compares by identity, so its squares hit
-    only for the same group object.  A square charged more than the bound
-    is built and returned but not stored.
+    descriptor hits and builds no row; a TableGroup compares by identity,
+    so its squares hit only for the same group object.  A square charged
+    more than the bound is built and returned but not stored.
     """
     global _held
     key = (group, tuple(quotients))
@@ -125,15 +125,14 @@ def sequencing_square(group, quotients) -> LatinSquare:
         if entry is not None:
             _squares.move_to_end(key)
             return entry[0]
-    enc = compile_index(group)
-    e = enc.indices([group.identity])[0]
+    e = group.indices([group.identity])[0]
     b = [e]
     for q in quotients:
-        b.append(enc.quot(enc.quot(b[-1], e), q))  # inv(inv(b_i)) * q_i
+        b.append(group.quot(group.quot(b[-1], e), q))  # inv(inv(b_i)) * q_i
     # a row is the product row of b_i^-1 read at b's indices; itemgetter
     # with one key returns the bare item, not a 1-tuple
     pick = itemgetter(*b) if len(b) > 1 else lambda row: (row[e],)
-    square = LatinSquare(len(b), tuple(pick(enc.row(enc.quot(c, e))) for c in b))
+    square = LatinSquare(len(b), tuple(pick(group.row(group.quot(c, e))) for c in b))
     cells = square.n**2 * (2 if isinstance(group, TableGroup) else 1) + _ENTRY_CELLS
     if cells > _MAX_CELLS:
         return square

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .desk import desk_cap
 from .errors import DeskScaleExceeded
-from .groups import TableGroup, compile_index
+from .groups import TableGroup
 
 EXHAUSTIVE_CAP = 16
 GRACEFUL_CAP = 8
@@ -39,9 +39,8 @@ class ExhaustiveResult:
 
 
 def _index_tables(group):
-    enc = compile_index(group)
-    ident = enc.indices([group.identity])[0]
-    quot = [enc.row(enc.quot(i, ident)) for i in range(group.order)]
+    ident = group.indices([group.identity])[0]
+    quot = [group.row(group.quot(i, ident)) for i in range(group.order)]
     return list(group.elements()), ident, quot
 
 

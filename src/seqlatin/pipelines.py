@@ -12,7 +12,7 @@ audited offline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from typing import Optional, Sequence
@@ -32,7 +32,6 @@ from .groups import (
     MatrixBlock,
     ScalarBlock,
     SdSpec,
-    compile_index,
     cyclic,
     extend_to_basis,
     group_to_descriptor,
@@ -73,7 +72,7 @@ class SequencingCertificate:
     provenance: dict
 
     def _elements(self, idx) -> tuple:
-        cols = compile_index(self.group).columns(idx)
+        cols = self.group.columns(idx)
         if isinstance(self.group, SdSpec):
             return tuple(zip(cols[0], zip(*cols[1:])))
         if isinstance(self.group, AbelianSpec):
@@ -90,7 +89,7 @@ class SequencingCertificate:
 
     def to_json(self) -> dict:
         # one flat row of coordinates per element, u first for a semidirect product
-        columns = compile_index(self.group).columns
+        columns = self.group.columns
         return {
             "group": group_to_descriptor(self.group),
             "terrace": _rows(columns(self.indices)),
@@ -443,7 +442,7 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
     width = prefix
     while width < len(A.factors) and A.factors[width] == p:
         width += 1
-    indices = compile_index(A).indices
+    indices = A.indices
     h0 = hash_for(A)
     one = (1,) + (0,) * (len(A.factors) - 1)
     minus2 = A.neg(A.scale(2, one))

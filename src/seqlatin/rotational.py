@@ -7,8 +7,8 @@ exactly once.  A star at position i means a_i = a_{i-1} + a_{i+1}
 (cyclic); standard form puts a star at the first position.
 
 Positions are 0-based throughout, including star indices.  Terraces
-hold elements; the randomized search works on the element indices of
-compile_index(group) and decodes only the terrace it returns.
+hold elements; the randomized search works on the group's element
+indices and decodes only the terrace it returns.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     NotATerrace,
     NotFound,
 )
-from .groups import AbElem, AbelianSpec, compile_index
+from .groups import AbElem, AbelianSpec
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def search_r_terrace(
     iterator each, so neither the result nor the speed depends on the
     caller's stack depth.
 
-    The search runs on the indices of compile_index(group): differences
+    The search runs on the group's element indices: differences
     come from a table of index(g_x - g_p) built once per call, subgroups
     meet only in 0 when their masks share bit 0 alone, and a mask's bit
     count is its element's order.  Index order is elements() order, so
@@ -193,11 +193,10 @@ def search_r_terrace(
     n = m - 1
     order_at = _order_constraints(element_orders, n)
     rng = random.Random(seed)
-    enc = compile_index(group)
     span = range(m)
-    flat = enc.diffs([p for p in span for _ in span], list(span) * m)
+    flat = group.diffs([p for p in span for _ in span], list(span) * m)
     diff = [flat[p : p + m] for p in range(0, m * m, m)]  # diff[p][x]: g_x - g_p
-    masks = enc.subgroups
+    masks = group.subgroups
     order_positions: dict[int, list[int]] = {}
     for idx, o in sorted(order_at.items()):
         order_positions.setdefault(o, []).append(idx)
@@ -299,7 +298,7 @@ def search_r_terrace(
         if d is not None:
             used_diffs[d] = 1
         if len(entries) == n:
-            return RTerrace(group, tuple(zip(*enc.columns(entries))), 0 if star else None)
+            return RTerrace(group, tuple(zip(*group.columns(entries))), 0 if star else None)
         stack.append(open_node())
 
 

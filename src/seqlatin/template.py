@@ -15,8 +15,8 @@ checklist explains an arrangement family by family.
 
 The assignment and the layout work on element indices: the inputs and
 the g and h families are base indices (a Z_m element is its own), base
-sums and differences are read from the base encoder's row and quot,
-alpha^e from the semidirect encoder's twist table, and assemble emits
+sums and differences are read from the base group's row and quot,
+alpha^e from the semidirect group's twist table, and assemble emits
 the index u * |A| + v of each (u, v).
 """
 
@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ConditionsViolated, GroupFormatError, ShapeMismatch
-from .groups import SdSpec, compile_index
+from .groups import SdSpec
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def checklist(inputs: TemplateInputs) -> ChecklistReport:
     alpha = sd.alpha
     q = sd.s
     m, lam = A.order, inputs.lam % q
-    decode = compile_index(A).decode
+    decode = A.decode
     gs = tuple(map(decode, inputs.gs))
     hss = tuple(tuple(map(decode, row)) for row in inputs.hss)
     nonzero = Counter(e for e in A.elements() if e != A.identity)
@@ -184,21 +184,21 @@ def theorem4_assign(ais, cis, sd: SdSpec, lam: int) -> TemplateInputs:
     for xs in (ais, cis):
         if len(xs) != m - 1 or min(xs) < 0 or max(xs) >= m:
             raise ShapeMismatch(f"need {m - 1} base indices below {m} in both inputs")
-    enc, twist = compile_index(sd.base), compile_index(sd).twist
-    quot = enc.quot
+    base, twist = sd.base, sd.twist
+    quot = base.quot
     c1, clast = cis[0], cis[-1]
     shift = twist(q - 1)[c1]
     lam_twist = twist(lam - 1)
     failures = []
     want1 = quot(shift, quot(quot(c1, 0), clast))
     if ais[0] != want1:
-        failures.append(_unmet(enc.decode, "condition 1", "a_1", ais[0], want1))
+        failures.append(_unmet(base.decode, "condition 1", "a_1", ais[0], want1))
     want2 = quot(lam_twist[clast], ais[0])
     if ais[-1] != want2:
-        failures.append(_unmet(enc.decode, "condition 2", "a_last", ais[-1], want2))
+        failures.append(_unmet(base.decode, "condition 2", "a_last", ais[-1], want2))
     if failures:
         raise ConditionsViolated(failures)
-    gs = (shift, *map(enc.row(shift).__getitem__, ais))
+    gs = (shift, *map(base.row(shift).__getitem__, ais))
     odd = tuple(cis)
-    even = tuple(enc.diffs([lam_twist[cj] for cj in cis], [0] * len(cis)))
+    even = tuple(base.diffs([lam_twist[cj] for cj in cis], [0] * len(cis)))
     return TemplateInputs(sd, lam, gs, tuple(odd if i % 2 else even for i in range(1, q)))

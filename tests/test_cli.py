@@ -221,6 +221,33 @@ def test_verify_huge_semidirect_modulus_answers_at_once(tmp_path, capsys):
     assert "does not divide s=2" in err
 
 
+def test_verify_wide_matrix_block_answers_at_once(tmp_path, capsys):
+    # a 30x30 cyclic shift over Z_3 and a 4001-digit s cost 30 s of
+    # matrix powers before the width was bounded
+    path = tmp_path / "wide.json"
+    shift = [[int(j == (i + 1) % 30) for j in range(30)] for i in range(30)]
+    block = {"kind": "matrix", "p": 3, "rows": shift}
+    doc = {
+        "group": {"semidirect": {"s": 10**4000 + 1, "base": [3] * 30, "alpha": {"blocks": [block]}}},
+        "terrace": [[0] * 31, [1] + [0] * 30],
+        "sequencing": [[1] + [0] * 30],
+    }
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "width 30 exceeds 8" in err
+
+
+def test_verify_nested_json_is_not_json(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, ["verify", str(path)])
+    assert code == 2 and out == ""
+    assert "not JSON" in err
+
+
 def test_verify_table_entry_outside_the_table(tmp_path, capsys):
     # 9 is not an element of S3: invalid, not an internal failure
     path = tmp_path / "s3.json"
@@ -348,6 +375,14 @@ def test_search_zero_exit(tmp_path, capsys):
     code, out, _ = run(capsys, ["search", "--group", str(gpath), "--exhaustive"])
     assert code == 1
     assert json.loads(out)["count"] == 0
+
+
+def test_search_nested_json_exits_2(tmp_path, capsys):
+    gpath = tmp_path / "nested.json"
+    gpath.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, ["search", "--group", str(gpath)])
+    assert code == 2 and out == ""
+    assert "recursion" in err
 
 
 def test_search_jobs_flag(tmp_path, capsys):

@@ -20,7 +20,6 @@ from seqlatin.groups import (
     ScalarBlock,
     SdSpec,
     TableGroup,
-    compile_index,
     cyclic,
     group_from_descriptor,
 )
@@ -91,7 +90,7 @@ def _d10_certificate() -> dict:
     sd = SdSpec(2, cyclic(5), Automorphism((ScalarBlock(5, 4),)))
     elems = list(sd.elements())
     d10 = TableGroup([[elems.index(sd.mul(a, b)) for b in elems] for a in elems])
-    terrace = compile_index(d10).indices(exhaustive_sequencings(d10, limit=1).terraces[0])
+    terrace = d10.indices(exhaustive_sequencings(d10, limit=1).terraces[0])
     ok, quots = is_directed_terrace(d10, terrace)
     assert ok
     return SequencingCertificate(d10, tuple(terrace), tuple(quots), {}).to_json()

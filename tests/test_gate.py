@@ -20,7 +20,6 @@ from seqlatin.groups import (
     ScalarBlock,
     SdSpec,
     TableGroup,
-    compile_index,
     cyclic,
 )
 from seqlatin.latin import (
@@ -122,7 +121,7 @@ def _mutants(group, t):
 
 def _gate(group, arr):
     """The gate on outside input: the strict map first, None not a terrace."""
-    idx = compile_index(group).indices(arr)
+    idx = group.indices(arr)
     return (False, []) if idx is None else is_directed_terrace(group, idx)
 
 
@@ -134,7 +133,7 @@ def test_relabelled_identity_is_not_index_zero():
 @pytest.mark.parametrize("name", list(CASES))
 def test_gate_agrees_with_naive_checker(name):
     group, terrace = CASES[name]
-    decode = compile_index(group).decode
+    decode = group.decode
     verdicts = {}
     for how, arr in _mutants(group, terrace):
         ok, quots = _gate(group, arr)
@@ -173,16 +172,15 @@ def test_wrong_length_element_raises(name):
 
 def test_strict_map_does_not_reduce():
     group = AbelianSpec((3, 5))
-    enc = compile_index(group)
-    assert enc.indices([(1, 2)]) == [7]
-    assert enc.indices([(1, 2), (4, 7)]) is None
-    assert enc.indices([(1, -1)]) is None
+    assert group.indices([(1, 2)]) == [7]
+    assert group.indices([(1, 2), (4, 7)]) is None
+    assert group.indices([(1, -1)]) is None
 
 
 @pytest.mark.parametrize("name", ["Z12", "Z3|Z7 scalar", "D10 table"])
 def test_index_gate_refuses_indices_outside_the_group(name):
     group, terrace = CASES[name]
-    idx = compile_index(group).indices(terrace)
+    idx = group.indices(terrace)
     n = group.order
     assert is_directed_terrace(group, idx)[0]
     # -1 in place of n - 1 would mark n - 1's byte if it were not refused
@@ -192,7 +190,7 @@ def test_index_gate_refuses_indices_outside_the_group(name):
 
 
 def test_table_strict_map_refuses_bools():
-    assert compile_index(s3_table()).indices([True, False]) is None
+    assert s3_table().indices([True, False]) is None
     group, terrace = CASES["D10 table"]
     assert terrace_to_complete_square(group, terrace).n == 10
     with pytest.raises(NotATerrace):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from seqlatin.errors import DeskScaleExceeded, NotFound
+from seqlatin.errors import DeskScaleExceeded
 from seqlatin.graceful import (
     graceful_to_r_terrace,
     graceful_with_first,

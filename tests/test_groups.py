@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from seqlatin.errors import (
+    DeskScaleExceeded,
     GroupFormatError,
     NotIndependent,
     OrderMismatch,
@@ -19,13 +20,13 @@ from seqlatin.groups import (
     TableGroup,
     automorphism_from_descriptor,
     automorphism_to_descriptor,
-    compile_index,
     cyclic,
     extend_to_basis,
     group_from_descriptor,
     group_to_descriptor,
     mat_inv,
     mat_mul,
+    mat_pow,
 )
 from seqlatin.oracle import d8_table, q8_table, s3_table
 
@@ -67,10 +68,9 @@ def test_enumeration_order():
     # rightmost coordinate moves fastest
     g = AbelianSpec((2, 3))
     assert list(g.elements()) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    index = compile_index(g)
-    assert index.indices(g.elements()) == list(range(g.order))
+    assert g.indices(g.elements()) == list(range(g.order))
     for i, x in enumerate(g.elements()):
-        assert index.decode(i) == x
+        assert g.decode(i) == x
 
 
 def test_element_order():
@@ -86,9 +86,8 @@ def test_independent():
     """Cyclic subgroups meet only in 0 when their masks share bit 0 alone."""
 
     def independent(g, a, b):
-        enc = compile_index(g)
-        i, j = enc.indices([a, b])
-        return enc.subgroups[i] & enc.subgroups[j] == 1
+        i, j = g.indices([a, b])
+        return g.subgroups[i] & g.subgroups[j] == 1
 
     z15 = cyclic(15)
     assert independent(z15, (3,), (5,))
@@ -99,11 +98,10 @@ def test_independent():
     assert not independent(g, (1, 0), (2, 0))
     # a mask is the subgroup's index set, so its bit count is the order
     for g in (z15, g, AbelianSpec((3, 5)), AbelianSpec((9, 3))):
-        enc = compile_index(g)
         elems = list(g.elements())
-        for e, mask in zip(elems, enc.subgroups):
+        for e, mask in zip(elems, g.subgroups):
             multiples = {tuple(k * x % m for x, m in zip(e, g.factors)) for k in range(g.order)}
-            assert mask == sum(1 << i for i in enc.indices(multiples))
+            assert mask == sum(1 << i for i in g.indices(multiples))
             assert mask.bit_count() == g.element_order(e)
 
 
@@ -209,6 +207,26 @@ def test_matrix_must_be_invertible():
         MatrixBlock(5, ((1, 2), (2, 4)))
 
 
+def test_matrix_block_bounds_width_and_modulus():
+    shift = lambda w: tuple(tuple(int(j == (i + 1) % w) for j in range(w)) for i in range(w))
+    assert MatrixBlock(3, shift(8)).width == 8
+    with pytest.raises(GroupFormatError, match="width 9 exceeds 8"):
+        MatrixBlock(3, shift(9))
+    with pytest.raises(GroupFormatError, match="not a prime"):
+        MatrixBlock(4, ((0, 1), (1, 1)))
+    with pytest.raises(DeskScaleExceeded):
+        MatrixBlock(10**13 + 37, ((0, 1), (1, 1)))
+
+
+def test_matrix_identity_power_reduces_by_the_linear_group_order():
+    # |GL(2, 5)| = 480; the Fibonacci matrix has order 20 mod 5
+    fib = MatrixBlock(5, ((0, 1), (1, 1)))
+    orders = [e for e in range(1, 481) if mat_pow(fib.mat, e, 5) == ((1, 0), (0, 1))]
+    assert orders[0] == 20
+    for e in (0, 1, 20, 40, 479, 480, 481, 480 * 10**50 + 20, 10**400 + 1):
+        assert fib.is_identity_power(e) == (e % 20 == 0), e
+
+
 # ---------------------------------------------------------------------------
 # semidirect products
 
@@ -242,10 +260,9 @@ def test_sd_inv():
 def test_sd_quot():
     # the encoded quotient the gate reads, against the product and inverse
     g = z3_z7()
-    enc = compile_index(g)
     els = list(g.elements())
     for i, x in enumerate(els):
-        assert [enc.decode(enc.quot(i, j)) for j in range(len(els))] == [
+        assert [g.decode(g.quot(i, j)) for j in range(len(els))] == [
             g.mul(g.inv(x), y) for y in els
         ]
 
@@ -301,8 +318,7 @@ def test_sd_alpha_check_does_not_step_powers():
 
 def table_from_abelian(spec):
     els = list(spec.elements())
-    index = compile_index(spec)
-    return TableGroup([index.indices(spec.add(a, b) for b in els) for a in els])
+    return TableGroup([spec.indices(spec.add(a, b) for b in els) for a in els])
 
 
 def test_table_round_trip_z6():
@@ -362,7 +378,8 @@ def test_table_validates_large_and_small_groups():
     assert TableGroup(cyclic_rows(512)).order == 512
     assert TableGroup([[a ^ b for b in range(512)] for a in range(512)]).order == 512
     for table in (s3_table(), d8_table(), q8_table()):
-        assert TableGroup(table.mul_table()).order == table.order
+        rows = group_to_descriptor(table)["table"]["mul"]
+        assert group_to_descriptor(TableGroup(rows)) == group_to_descriptor(table)
 
 
 def test_table_rejects_swapped_intercalate_above_512():
@@ -432,7 +449,7 @@ def test_table_descriptor_round_trip():
     assert d["table"]["n"] == 4
     assert d["table"]["id"] == 0
     g2 = group_from_descriptor(d)
-    assert g2.mul_table() == g.mul_table()
+    assert group_to_descriptor(g2) == d
 
 
 def test_descriptor_rejects_junk():

@@ -4,7 +4,6 @@ from seqlatin.errors import GroupFormatError, NotCoprime
 from seqlatin.groups import AbelianSpec, cyclic
 from seqlatin.harmonious import (
     Harmonious,
-    HashHarmonious,
     ascending_harmonious,
     bghj_base,
     bghj_product,

@@ -1,4 +1,4 @@
-"""The integer group encoding and the squares built on it.
+"""The integer encoding each group class owns, and the squares built on it.
 
 The kernel is checked cell by cell against group.mul.  The golden
 digests pin every square to the bytes the per-shape grid code produced
@@ -7,10 +7,11 @@ before the kernel replaced it.
 
 import hashlib
 import random
+from collections import OrderedDict
 
 import pytest
 
-from seqlatin.errors import GroupFormatError
+from seqlatin import latin
 from seqlatin.groups import (
     AbelianSpec,
     Automorphism,
@@ -18,8 +19,9 @@ from seqlatin.groups import (
     ScalarBlock,
     SdSpec,
     TableGroup,
-    compile_index,
     cyclic,
+    group_from_descriptor,
+    group_to_descriptor,
 )
 from seqlatin.latin import completeness_report, terrace_to_complete_square, walecki_terrace
 from seqlatin.oracle import d8_table, exhaustive_sequencings, q8_table, s3_table
@@ -70,60 +72,51 @@ def test_kernel_rows_match_multiplication(name):
     group = KERNEL_GROUPS[name]
     elems = list(group.elements())
     index = {e: i for i, e in enumerate(elems)}
-    enc = compile_index(group)
-    assert enc.indices(elems) == list(range(len(elems)))
+    assert group.indices(elems) == list(range(len(elems)))
     rows = range(len(elems))
     if len(elems) > 200:
         rows = sorted(random.Random(name).sample(rows, 40))
     for g in rows:
         want = [index[group.mul(elems[g], h)] for h in elems]
-        assert enc.row(g) == want, (name, g)
-
-
-def test_kernel_rejects_unknown_groups():
-    with pytest.raises(GroupFormatError):
-        compile_index(object())
+        assert group.row(g) == want, (name, g)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
 def test_batch_quotients_match_quot(name):
     group = KERNEL_GROUPS[name]
-    enc = compile_index(group)
     rng = random.Random(name)
     for length in (0, 1, 2, 50):
         idx = [rng.randrange(group.order) for _ in range(length)]
-        assert enc.quots(idx) == [enc.quot(i, j) for i, j in zip(idx, idx[1:])], length
-        assert enc.quots(tuple(idx)) == enc.quots(idx)
+        assert group.quots(idx) == [group.quot(i, j) for i, j in zip(idx, idx[1:])], length
+        assert group.quots(tuple(idx)) == group.quots(idx)
 
 
 @pytest.mark.parametrize("name", [k for k, g in KERNEL_GROUPS.items() if isinstance(g, SdSpec)])
 def test_twist_table_applies_alpha_powers(name):
     group = KERNEL_GROUPS[name]
-    base = compile_index(group.base)
-    elems = list(group.base.elements())
+    base = group.base
+    elems = list(base.elements())
     for e in (0, 1, group.s - 1, group.s + 1):
         want = base.indices(group.alpha.apply_power(e % group.s, v) for v in elems)
-        assert compile_index(group).twist(e) == want, e
+        assert group.twist(e) == want, e
 
 
-def test_one_encoder_per_group():
-    sd = KERNEL_GROUPS["Z3|Z7"]
-    rebuilt = SdSpec(3, cyclic(7), Automorphism((ScalarBlock(7, 2),)))
-    assert rebuilt is not sd and compile_index(rebuilt) is compile_index(sd)
-    assert compile_index(AbelianSpec((4, 6))) is compile_index(AbelianSpec((4, 6)))
-    table, _ = as_table(cyclic(6))
-    twin, _ = as_table(cyclic(6))
-    assert table.mul_table() == twin.mul_table()
-    assert compile_index(table) is compile_index(table)
-    assert compile_index(twin) is not compile_index(table)
-
-
-def test_encoder_memo_stays_within_its_size():
-    size = compile_index.cache_info().maxsize
-    for n in range(2, 2 * size + 10):
-        compile_index(cyclic(n))
-        assert compile_index.cache_info().currsize <= size
-    assert compile_index.cache_info().currsize == size
+def test_group_builds_each_table_once(monkeypatch):
+    """A group object keeps every table it builds, outside its fields, and
+    an equal SdSpec rebuilt from its descriptor still hits the square cache."""
+    monkeypatch.setattr(latin, "_squares", OrderedDict())
+    monkeypatch.setattr(latin, "_held", 0)
+    sd = SdSpec(3, cyclic(7), Automorphism((ScalarBlock(7, 2),)))
+    assert sd.twist(1) is sd.twist(1) and sd._runs is sd._runs
+    z = AbelianSpec((4, 6))
+    assert z.subgroups is z.subgroups and z._runs is z._runs
+    assert repr(sd) == repr(SdSpec(3, cyclic(7), Automorphism((ScalarBlock(7, 2),))))
+    assert z == AbelianSpec((4, 6)) and hash(z) == hash(AbelianSpec((4, 6)))
+    cert = sequence_order(21)
+    square = terrace_to_complete_square(cert.group, cert.terrace)
+    rebuilt = group_from_descriptor(group_to_descriptor(cert.group))
+    assert rebuilt is not cert.group and rebuilt == cert.group
+    assert terrace_to_complete_square(rebuilt, cert.terrace) is square
 
 
 def digest(grid):

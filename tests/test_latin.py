@@ -16,10 +16,8 @@ from seqlatin.cli import main
 from seqlatin.errors import NotATerrace, OddOrder
 from seqlatin.groups import (
     AbelianSpec,
-    SdIndex,
     SdSpec,
     TableGroup,
-    compile_index,
     cyclic,
     group_from_descriptor,
     group_to_descriptor,
@@ -42,7 +40,7 @@ def _walecki(n):
 
 def _gate(group, elems):
     """The gate on outside input: the strict map first, None not a terrace."""
-    idx = compile_index(group).indices(elems)
+    idx = group.indices(elems)
     return (False, []) if idx is None else is_directed_terrace(group, idx)
 
 
@@ -393,7 +391,7 @@ def test_semidirect_hit_neither_inverts_nor_decodes(cache):
         raise AssertionError("a cache hit rebuilt part of its square")
 
     cache.setattr(SdSpec, "inv", refuse)
-    cache.setattr(SdIndex, "decode", refuse)
+    cache.setattr(SdSpec, "decode", refuse)
     assert terrace_to_complete_square(cert.group, translate) is square
     assert sequencing_square(cert.group, cert.quotients) is square
 

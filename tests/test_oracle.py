@@ -7,7 +7,7 @@ import pytest
 from seqlatin import oracle
 from seqlatin.errors import DeskScaleExceeded
 from seqlatin.graceful import is_graceful, walecki_graceful
-from seqlatin.groups import AbelianSpec, compile_index, cyclic
+from seqlatin.groups import AbelianSpec, cyclic
 from seqlatin.latin import (
     completeness_report,
     is_directed_terrace,
@@ -50,7 +50,7 @@ def test_even_cyclic_have_some():
         res = exhaustive_sequencings(cyclic(n), limit=1)
         assert res.count >= 1
         for t in res.terraces:
-            ok, _ = is_directed_terrace(cyclic(n), compile_index(cyclic(n)).indices(t))
+            ok, _ = is_directed_terrace(cyclic(n), cyclic(n).indices(t))
             assert ok
 
 
@@ -164,7 +164,7 @@ def test_terrace_checkers_agree():
     for _ in range(400):
         arr = elems[:]
         rng.shuffle(arr)
-        main, _ = is_directed_terrace(group, compile_index(group).indices(arr))
+        main, _ = is_directed_terrace(group, group.indices(arr))
         assert main == naive_directed_terrace(group, arr)
         agree += 1
     walecki = [(x,) for x in walecki_terrace(8)]

@@ -13,7 +13,7 @@ from seqlatin.errors import (
     NoSuchUnit,
     NotIndependent,
 )
-from seqlatin.groups import AbelianSpec, SdSpec, compile_index, cyclic
+from seqlatin.groups import AbelianSpec
 from seqlatin.latin import (
     completeness_report,
     is_directed_terrace,
@@ -37,7 +37,7 @@ def _assert_certificate(cert, order):
     assert cert.group.order == order
     assert len(cert.terrace) == order
     ok, quots = is_directed_terrace(cert.group, cert.indices)
-    assert compile_index(cert.group).indices(cert.terrace) == list(cert.indices)
+    assert cert.group.indices(cert.terrace) == list(cert.indices)
     assert ok
     assert tuple(quots) == cert.quotients
     pairs = zip(cert.terrace, cert.terrace[1:])

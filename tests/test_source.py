@@ -1,9 +1,10 @@
 """Package sources compile without warnings, import without sympy, hold
 no recursive closures, keep the reference checkers independent, run the
 terrace gate only where its fact is checked, build squares in one place,
-build certificates and search R-terraces without element arithmetic,
-refuse every desk cap with one exception, and use every public definition
-outside the oracle."""
+keep each group's encoding in its own class, build certificates and
+search R-terraces without element arithmetic, refuse every desk cap with
+one exception, and use every public definition outside the oracle; the
+package and test sources import nothing they do not use."""
 
 import ast
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "seqlatin").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -65,6 +67,38 @@ def test_recursive_closure_detector():
     assert _recursive_closures(ast.parse(src)) == ["outer.walk"]
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """line:name for each name an import binds that the module never reads;
+    `import a.b` binds a."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{line}:{name}" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    """A stale import outlives the code it served, as a removed encoder's would."""
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_detector():
+    src = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\nimport json\n"
+        "from dataclasses import dataclass, field\nfrom .groups import row as r\n\n"
+        "@dataclass\nclass C:\n    def m(self) -> os.PathLike:\n"
+        "        import math\n        return r(json.loads('1'))\n"
+    )
+    assert _unused_imports(ast.parse(src)) == ["11:math", "3:system", "5:field"]
+
+
 def _names_used(func: ast.AST) -> set[str]:
     """Every bare name and attribute name a function's body mentions."""
     names = set()
@@ -74,6 +108,17 @@ def _names_used(func: ast.AST) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _attributes_used(func: ast.AST) -> set[str]:
+    """Every attribute name a function's body reads, as in group.quots."""
+    return {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+
+
+# the integer encoding each group class owns: its methods and tables
+ENCODING = {
+    "indices", "quot", "quots", "diffs", "row", "columns", "decode", "twist", "subgroups",
+}
 
 
 def _top_level_names(tree: ast.Module) -> set[str]:
@@ -90,20 +135,24 @@ def _top_level_names(tree: ast.Module) -> set[str]:
 
 @pytest.mark.parametrize("checker", ["naive_directed_terrace", "naive_r_terrace"])
 def test_reference_checkers_stay_independent(checker):
-    """The oracle's checkers vouch for the gate, so they share none of its code."""
-    banned = {"compile_index", "latin"} | _top_level_names(
-        ast.parse((SRC / "seqlatin" / "latin.py").read_text())
-    )
+    """The oracle's checkers vouch for the gate, so they share none of its
+    code: nothing of latin.py, and no method of the groups' encoding."""
+    banned = {"latin"} | _top_level_names(ast.parse((SRC / "seqlatin" / "latin.py").read_text()))
     tree = ast.parse((SRC / "seqlatin" / "oracle.py").read_text())
     func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == checker)
     assert _names_used(func) & banned == set()
+    assert _attributes_used(func) & ENCODING == set()
     assert "is_directed_terrace" in banned
 
 
 def test_independence_detector():
-    src = "def check(group, arr):\n    return latin.is_directed_terrace(group, compile_index(group))\n"
-    used = _names_used(ast.parse(src).body[0])
-    assert {"latin", "is_directed_terrace", "compile_index"} <= used
+    src = (
+        "def check(group, arr):\n    quots = group.quots(group.indices(arr))\n"
+        "    return latin.is_directed_terrace(group, quots)\n"
+    )
+    func = ast.parse(src).body[0]
+    assert {"latin", "is_directed_terrace", "quots", "indices"} <= _names_used(func)
+    assert _attributes_used(func) & ENCODING == {"quots", "indices"}
 
 
 def _mentions(sources: dict[str, ast.Module], name: str) -> set[str]:
@@ -153,6 +202,37 @@ def _callers(sources: dict[str, ast.Module], name: str) -> set[str]:
         if isinstance(node, ast.Call)
         and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
+
+
+def _definers(sources: dict[str, ast.Module], name: str) -> set[str]:
+    """module.function or module.Class for each top-level function, and each
+    class with a method or property, named `name`."""
+    found = set()
+    for path, tree in sources.items():
+        for stmt in tree.body:
+            body = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            if any(isinstance(n, ast.FunctionDef) and n.name == name for n in body):
+                found.add(f"{Path(path).stem}.{stmt.name}")
+    return found
+
+
+def test_each_group_class_owns_its_encoding():
+    """One class per group kind: the group itself encodes its elements, with
+    no encoder class or memo beside it."""
+    sources = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    assert _definers(sources, "quots") == {
+        "groups.AbelianSpec", "groups.SdSpec", "groups.TableGroup",
+    }
+
+
+def test_definer_detector():
+    a = (
+        "class G:\n    def quots(self, idx):\n        return idx\n\n"
+        "class GIndex:\n    @property\n    def quots(self):\n        return []\n\n"
+        "class Other:\n    quots = None\n\n"
+        "def quots(enc, idx):\n    def quots(i):\n        return i\n    return enc.quots(idx)\n"
+    )
+    assert _definers({"a.py": ast.parse(a)}, "quots") == {"a.G", "a.GIndex", "a.quots"}
 
 
 def test_squares_are_built_only_by_sequencing_square():

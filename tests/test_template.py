@@ -3,7 +3,7 @@
 import pytest
 
 from seqlatin.errors import ConditionsViolated, GroupFormatError, ShapeMismatch
-from seqlatin.groups import AbelianSpec, Automorphism, ScalarBlock, SdSpec, compile_index, cyclic
+from seqlatin.groups import Automorphism, ScalarBlock, SdSpec, cyclic
 from seqlatin.latin import is_directed_terrace
 from seqlatin.template import (
     TemplateInputs,
@@ -81,7 +81,7 @@ def test_assemble_is_terrace():
     assert arr[0] == 3  # (0, (3,))
     ok, quots = is_directed_terrace(SD_3_7, arr)
     assert ok
-    assert compile_index(SD_3_7).decode(quots[0]) == (1, (0,))
+    assert SD_3_7.decode(quots[0]) == (1, (0,))
 
 
 def test_assign_rejects_wrong_ends():
