@@ -5,8 +5,10 @@ digests pin every square to the bytes the per-shape grid code produced
 before the kernel replaced it.
 """
 
+import gc
 import hashlib
 import random
+import weakref
 from collections import OrderedDict
 
 import pytest
@@ -101,7 +103,7 @@ def test_twist_table_applies_alpha_powers(name):
         assert group.twist(e) == want, e
 
 
-def test_group_builds_each_table_once(monkeypatch):
+def test_one_encoder_per_group(monkeypatch):
     """A group object keeps every table it builds, outside its fields, and
     an equal SdSpec rebuilt from its descriptor still hits the square cache."""
     monkeypatch.setattr(latin, "_squares", OrderedDict())
@@ -117,6 +119,25 @@ def test_group_builds_each_table_once(monkeypatch):
     rebuilt = group_from_descriptor(group_to_descriptor(cert.group))
     assert rebuilt is not cert.group and rebuilt == cert.group
     assert terrace_to_complete_square(rebuilt, cert.terrace) is square
+
+
+def test_encoder_memo_stays_within_its_size():
+    """No module-level memo keeps an encoding: each group object holds its
+    own tables, so they are freed with it however many groups are built."""
+    table, _ = as_table(cyclic(6))
+    sd = SdSpec(3, cyclic(7), Automorphism((ScalarBlock(7, 2),)))
+    groups = [cyclic(n) for n in range(2, 80)] + [sd, table]
+    refs = []
+    for group in groups:
+        group.row(1)
+        group.quots([0, 1, 0])
+        if isinstance(group, AbelianSpec):
+            assert len(group.subgroups) == group.order
+        refs.append(weakref.ref(group))
+    sd.twist(1)
+    del group, groups, sd, table
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 def digest(grid):
