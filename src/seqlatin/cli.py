@@ -112,8 +112,24 @@ def _emit(doc, args, human: str) -> None:
         print(human, file=sys.stderr)
 
 
+def _refuse_ignored_flags(args) -> None:
+    """GroupFormatError naming a group flag that the chosen route ignores."""
+    given = [f for f in ("q", "m", "p", "k", "b") if getattr(args, f) is not None]
+    given += ["nine"] if args.nine else []
+    for applies, flags, why in (
+        (args.order is not None, ("q", "m", "p", "k", "b", "nine"), "with --order"),
+        (args.p is not None, ("m",), "with --p"),
+        (args.k is not None, ("nine",), "with --k"),
+        (args.p is None, ("k", "b", "nine"), "without --p"),
+    ):
+        ignored = [f for f in flags if f in given]
+        if applies and ignored:
+            raise GroupFormatError(f"--{ignored[0]} is ignored {why}")
+
+
 def _pick_group(args):
     """Run the pipeline selected by the flag combination."""
+    _refuse_ignored_flags(args)
     if args.order is not None:
         return sequence_order(args.order, seed=args.seed)
     if args.p is not None:

@@ -33,12 +33,14 @@ class NoStarIndex(SeqLatinError):
 class ConstructionFailed(SeqLatinError):
     """A pipeline could not produce the promised object.
 
-    `stage` names the step that failed; the message says why.
+    `stage` names the step that failed; the message says why, and
+    `failures` lists the reasons one by one when the stage gave several.
     """
 
-    def __init__(self, stage: str, message: str):
+    def __init__(self, stage: str, message: str, failures=()):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.failures = list(failures)
 
 
 class NotFound(SeqLatinError):

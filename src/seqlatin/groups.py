@@ -30,6 +30,8 @@ position in elements(), and for indices g, h, i and j
     .row(g)         row(g)[h] is the index of g * h
 
 with .diffs and .subgroups on an AbelianSpec and .twist on an SdSpec.
+An Automorphism's .table() lists index(alpha(v)) for every index v, as
+the twist table and the product finisher's psi read it.
 The constructions of the certificate path, the terrace gate,
 certificates, squares and the exhaustive oracle work on indices.  A
 group builds each of its tables, O(n) ints, on first use and keeps it
@@ -491,6 +493,24 @@ class Automorphism:
     def apply(self, v: Sequence[int]) -> AbElem:
         return self.apply_power(1, v)
 
+    def table(self) -> list[int]:
+        """index(alpha(v)) for every index v: the mixed-radix product of the
+        blocks' tables.  Digit k of a matrix block's image is linear in v,
+        sum_j mat[k][j] * v_j mod p, built a column at a time in O(w * p^w)."""
+        out = [0]
+        for b in self.blocks:
+            if isinstance(b, ScalarBlock):
+                images = [b.unit * x % b.modulus for x in range(b.modulus)]
+            else:
+                p, images = b.p, [0] * b.p**b.width
+                for row in b.mat:
+                    digit = [0]
+                    for c in row:
+                        digit = [(t + c * x) % p for t in digit for x in range(p)]
+                    images = [i * p + t for i, t in zip(images, digit)]
+            out = [i * len(images) + t for i in out for t in images]
+        return out
+
 
 # ---------------------------------------------------------------------------
 # semidirect products Z_q acting on an abelian group
@@ -558,17 +578,7 @@ class SdSpec:
 
     @cached_property
     def _twists(self) -> list[list[int]]:
-        # index(alpha(v)) for every v: alpha acts blockwise, and blocks
-        # cover the coordinates in order, so index(alpha(v)) is the
-        # mixed-radix value of the blocks' images, each indexed in its block
-        once = [0]
-        for b in self.alpha.blocks:
-            if isinstance(b, ScalarBlock):
-                images = [b.unit * x % b.modulus for x in range(b.modulus)]
-            else:
-                sub = AbelianSpec((b.p,) * b.width)
-                images = sub.indices(b.apply_power(1, v) for v in sub.elements())
-            once = [p * len(images) + t for p in once for t in images]
+        once = self.alpha.table()
         twists = [list(range(self.base.order))]
         for _ in range(1, self.s):
             twists.append([once[i] for i in twists[-1]])

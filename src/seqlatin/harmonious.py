@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
 
 from .errors import ConstructionFailed, GroupFormatError, NotCoprime
 from .groups import AbElem, AbelianSpec
@@ -114,18 +113,14 @@ def bghj_product(cd: MatchedPair, d: Harmonious) -> MatchedPair:
     for dj in d.entries[1:]:
         hsh.extend(c + dj for c in charm)
     harm = [c + dj for dj in d.entries for c in charm]
-    nh, nm = len(hsh), len(harm)
-    offsets: Optional[tuple[int, int]] = None
-    for i in range(nh):
-        for j in range(nm):
-            if hsh[i] == harm[j] and hsh[i - 1] == harm[j - 1]:
-                offsets = (i, j)
-                break
-        if offsets is not None:
+    # harm lists each element once, so hsh[i] fixes the one j to try
+    at = {e: j for j, e in enumerate(harm)}
+    for i, e in enumerate(hsh):
+        j = at.get(e, 0)
+        if harm[j] == e and hsh[i - 1] == harm[j - 1]:
             break
-    if offsets is None:
+    else:
         raise ConstructionFailed("bghj_product", "no rotation restores the matched endpoints")
-    i, j = offsets
     hsh = hsh[i:] + hsh[:i]
     harm = harm[j:] + harm[:j]
     return MatchedPair(

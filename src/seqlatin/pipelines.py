@@ -13,7 +13,7 @@ audited offline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from typing import Optional, Sequence
 
@@ -23,7 +23,6 @@ from .errors import (
     DeskScaleExceeded,
     Diagonalisable,
     NoSuchUnit,
-    NotIndependent,
 )
 from .graceful import graceful_to_r_terrace, walecki_graceful
 from .groups import (
@@ -39,7 +38,7 @@ from .groups import (
     mat_mul,
     mat_pow,
 )
-from .harmonious import bghj_base, hash_for, transform_hash
+from .harmonious import bghj_base, hash_for
 from .latin import is_directed_terrace, walecki_terrace
 from .numtheory import (
     classify_order,
@@ -406,16 +405,9 @@ def pair_transport(a: AbelianSpec, p: int, width: int, src: tuple, dst: tuple) -
 # shared finisher: arrange hash ends, transport a terrace pair, verify
 
 
-def _in_block(e, prefix) -> bool:
-    return not any(e[prefix:])
-
-
-def _independent(u, v, prefix, p) -> bool:
-    try:
-        extend_to_basis([u[:prefix], v[:prefix]], prefix, p)
-        return True
-    except NotIndependent:
-        return False
+def _spans_plane(u, v, p) -> bool:
+    """Whether two digit vectors over Z_p are independent: a 2x2 minor is non-zero mod p."""
+    return any((u[a] * v[b] - u[b] * v[a]) % p for a, b in combinations(range(len(u)), 2))
 
 
 def _locate_pair(values, first, last):
@@ -434,58 +426,53 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
     Both (c_1, c_last) allocations of {1, -2} (first slot) are tried;
     the endpoint conditions then pin the targets, and any adjacent
     independent order-p pair of the extended terrace can be carried
-    onto them by an automorphism fixing the cofactors.
+    onto them by an automorphism fixing the cofactors.  The terrace and
+    hash_for(A) become base indices once: the targets come from twist
+    and quot, the p-block is the non-zero multiples of |A| / p^prefix,
+    and psi applies by its index table.  Only psi's inputs and the
+    provenance are decoded.
     """
-    A, alpha, q = sd.base, sd.alpha, sd.s
+    A, q = sd.base, sd.s
     # psi acts on the whole leading run of Z_p factors, which outgrows
     # the prefix when B has Z_p factors of its own
     width = prefix
     while width < len(A.factors) and A.factors[width] == p:
         width += 1
-    indices = A.indices
-    h0 = hash_for(A)
-    one = (1,) + (0,) * (len(A.factors) - 1)
-    minus2 = A.neg(A.scale(2, one))
+    decode = A.decode
+    tv, hv = A.indices(rt.entries), A.indices(hash_for(A).entries)
+    digits = dict(zip(tv, zip(*A.columns(tv)[:prefix])))
+    block = A.order // p**prefix  # the p-block is the non-zero multiples of this
+    one = A.order // p  # (1, 0, ..., 0), as A starts with Z_p; -2 is (p - 2) * one
     failures = []
-    for c1, clast in ((minus2, one), (one, minus2)):
-        pl = _locate_pair(h0.entries, c1, clast)
+    for c1, clast in (((p - 2) * one, one), (one, (p - 2) * one)):
+        pl = _locate_pair(hv, c1, clast)
         if pl is None:
             failures.append("hash endpoints not adjacent")
             continue
         start, hrev = pl
-        x = A.sub(A.add(c1, clast), alpha.apply_power(q - 1, c1))
-        y = A.sub(x, alpha.apply_power((lam - 1) % q, clast))
-        if x == A.identity or y == A.identity:
+        x = A.quot(sd.twist(q - 1)[c1], A.quot(A.quot(c1, 0), clast))
+        y = A.quot(sd.twist(lam - 1)[clast], x)
+        if x == 0 or y == 0:
             failures.append("degenerate endpoint targets")
             continue
-        if A.element_order(x) != p or A.element_order(y) != p:
-            failures.append("targets of wrong order")
-            continue
-        if not (_in_block(x, prefix) and _in_block(y, prefix)):
+        if x % block or y % block:
             failures.append("targets outside the p-block")
             continue
-        if not _independent(x, y, prefix, p):
+        if not _spans_plane(*zip(*A.columns([x, y])[:prefix]), p):
             failures.append("dependent targets")
             continue
-        hops = _hash_ops(1, start, hrev)
-        h = h0
-        for op in hops:
-            h = transform_hash(h, *op)
-        cis = indices(h.entries)
-        n = len(rt.entries)
+        hops, ends = _hash_ops(1, start, hrev), (decode(x), decode(y))
+        seq = hv[::-1] if hrev else hv
+        cis = seq[start:] + seq[:start]
         for trev in (False, True):
-            seq = rt.entries[::-1] if trev else rt.entries
-            for j in range(n):
+            seq = tv[::-1] if trev else tv
+            for j in range(len(seq)):
                 fst, lst = seq[j], seq[j - 1]
-                if not (_in_block(fst, prefix) and _in_block(lst, prefix)):
+                if fst % block or lst % block or not _spans_plane(digits[fst], digits[lst], p):
                     continue
-                if A.element_order(fst) != p or A.element_order(lst) != p:
-                    continue
-                if not _independent(fst, lst, prefix, p):
-                    continue
-                psi = pair_transport(A, p, width, (fst, lst), (x, y))
-                at = [psi.apply(seq[(j + i) % n]) for i in range(n)]
-                arr = assemble(theorem4_assign(indices(at), cis, sd, lam))
+                psi = pair_transport(A, p, width, (decode(fst), decode(lst)), ends)
+                at = list(map(psi.table().__getitem__, seq[j:] + seq[:j]))
+                arr = assemble(theorem4_assign(at, cis, sd, lam))
                 cert = _certify(
                     sd,
                     arr,
@@ -493,18 +480,18 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
                         **prov,
                         "lam": lam,
                         "hash_ops": hops,
-                        "allocation": {"c1": c1, "clast": clast},
-                        "targets": {"a1": x, "alast": y},
+                        "allocation": {"c1": decode(c1), "clast": decode(clast)},
+                        "targets": {"a1": ends[0], "alast": ends[1]},
                         "pair": {"reversed": trev, "rotate": j},
                         "psi": [list(r) for r in psi.blocks[0].mat],
-                        "r_terrace": [list(e) for e in at],
-                        "hash": [list(e) for e in h.entries],
+                        "r_terrace": _rows(A.columns(at)),
+                        "hash": _rows(A.columns(cis)),
                     },
                 )
                 if cert:
                     return cert
         failures.append("no adjacent independent pair matched")
-    raise ConstructionFailed("finish_template", f"finisher exhausted: {failures}")
+    raise ConstructionFailed("finish_template", f"finisher exhausted: {failures}", failures)
 
 
 def _pk_base(p: int, k: int, seed: int) -> tuple[RTerrace, str]:

@@ -89,6 +89,24 @@ def test_usage_errors(capsys):
     assert run(capsys, ["sequence", "--order", "5001"])[0] == 2  # over desk cap
 
 
+@pytest.mark.parametrize("command", ["sequence", "latin"])
+@pytest.mark.parametrize(
+    "flags, ignored",
+    [
+        (["--order", "75", "--q", "3"], "--q is ignored with --order"),
+        (["--order", "75", "--nine"], "--nine is ignored with --order"),
+        (["--q", "3", "--m", "7", "--p", "5"], "--m is ignored with --p"),
+        (["--p", "5", "--q", "3", "--k", "2", "--nine"], "--nine is ignored with --k"),
+        (["--q", "3", "--m", "7", "--b", "5"], "--b is ignored without --p"),
+        (["--q", "3", "--m", "7", "--k", "2"], "--k is ignored without --p"),
+    ],
+)
+def test_group_flags_the_route_ignores_exit_2(capsys, command, flags, ignored):
+    code, out, err = run(capsys, [command, *flags])
+    assert code == 2
+    assert out == "" and ignored in err
+
+
 def test_direct_pipelines_over_the_cap_exit_2(capsys):
     # orders 42021 and 7575: refused like --order is, before any search
     for argv in (

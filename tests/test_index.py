@@ -62,6 +62,13 @@ KERNEL_GROUPS = {
     ),
     "Z3|Z5^2": nondiag(5),
     "Z3|Z5^2xZ7": nondiag(5, [(7, 2)]),
+    # a scalar block ahead of a matrix block, and a width-3 matrix block
+    "Z3|Z7xZ5^2": SdSpec(
+        3,
+        AbelianSpec((7, 5, 5)),
+        Automorphism((ScalarBlock(7, 2), build_nondiag_aut(5, 2, 3).alpha.blocks[0])),
+    ),
+    "Z13|Z3^3": SdSpec(13, AbelianSpec((3, 3, 3)), build_nondiag_aut(3, 3, 13).alpha),
     "Z3|Z2^2": SdSpec(3, AbelianSpec((2, 2)), Automorphism((MatrixBlock(2, ((0, 1), (1, 1))),))),
     "S3": s3_table(),
     "D8": d8_table(),

@@ -332,6 +332,9 @@ def test_rejected_terrace_raises_construction_failed(monkeypatch):
     with pytest.raises(ConstructionFailed) as exc:
         sequence_non3(5, 2, 3)
     assert exc.value.stage == "finish_template"
+    # one reason per allocation, each also in the message
+    assert exc.value.failures == ["no adjacent independent pair matched", "dependent targets"]
+    assert all(reason in str(exc.value) for reason in exc.value.failures)
     with pytest.raises(ConstructionFailed) as exc:
         sequence_order(6)
     assert exc.value.stage == "sequence_order"

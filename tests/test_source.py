@@ -1,10 +1,10 @@
 """Package sources compile without warnings, import without sympy, hold
 no recursive closures, keep the reference checkers independent, run the
 terrace gate only where its fact is checked, build squares in one place,
-keep each group's encoding in its own class, build certificates and
-search R-terraces without element arithmetic, refuse every desk cap with
-one exception, and use every public definition outside the oracle; the
-package and test sources import nothing they do not use."""
+keep each group's encoding in its own class, build certificates, finish
+products and search R-terraces without element arithmetic, refuse every
+desk cap with one exception, and use every public definition outside the
+oracle; the package and test sources import nothing they do not use."""
 
 import ast
 import subprocess
@@ -279,6 +279,12 @@ SEARCH_CALLS = {
 }
 
 
+# the product finisher's element work, which it does on indices: tuple
+# sums and orders, alpha and psi per element, the transformed hash, and
+# a basis per candidate pair
+FINISHER_CALLS = SEARCH_CALLS | {"apply", "apply_power", "transform_hash", "extend_to_basis"}
+
+
 def _element_callers(sources: dict[str, ast.Module], targets, banned=ELEMENT_CALLS) -> set[str]:
     """Each target, module.function or module.Class.method, whose body calls
     a name in `banned`, bare or as an attribute."""
@@ -319,6 +325,14 @@ def test_search_does_no_element_arithmetic():
     assert _element_callers(sources, ["rotational.search_r_terrace"], SEARCH_CALLS) == set()
 
 
+def test_product_finisher_does_no_element_arithmetic():
+    """The finisher maps the terrace and the hash to indices once, takes its
+    targets from the twist table, tests the p-block and independence on
+    index multiples and digits, and applies psi by its index table."""
+    sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert _element_callers(sources, ["pipelines._finish_template"], FINISHER_CALLS) == set()
+
+
 def test_element_call_detector():
     a = (
         "def clean(enc, i):\n    return enc.quot(i, 0)\n\n"
@@ -343,6 +357,17 @@ def test_element_call_detector():
     sources = {"c": ast.parse(c)}
     flagged = {"c.nested", "c.subgroup", "c.meets", "c.orders"}
     assert _element_callers(sources, ["c.search", *flagged], SEARCH_CALLS) == flagged
+    d = (
+        "def finish(psi, xs):\n    image = psi.table()\n    return [image[x] for x in xs]\n\n"
+        "def maps(psi, xs):\n    return [psi.apply(x) for x in xs]\n\n"
+        "def twists(alpha, v):\n    return alpha.apply_power(2, v)\n\n"
+        "def rotates(h):\n    return transform_hash(h, 'rotate', 1)\n\n"
+        "def bases(u, v):\n    return groups.extend_to_basis([u, v], 2, 5)\n\n"
+        "def sums(A, x, y):\n    return A.add(x, y)\n"
+    )
+    sources = {"d": ast.parse(d)}
+    flagged = {"d.maps", "d.twists", "d.rotates", "d.bases", "d.sums"}
+    assert _element_callers(sources, ["d.finish", *flagged], FINISHER_CALLS) == flagged
 
 
 def _cap_checks_raising_other(sources: dict[str, ast.Module]) -> set[str]:
