@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="sequenceability verdict for one order")
     p.add_argument("order", type=int)
 
-    def group_flags(p, seeded=True):
+    def group_flags(p):
         p.add_argument("--order", type=int)
         p.add_argument("--q", type=int)
         p.add_argument("--m", type=int)
@@ -69,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int)
         p.add_argument("--b", type=str, help="cofactor as comma-separated cyclic orders")
         p.add_argument("--nine", action="store_true")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
+        # None, not 0, so that an explicit --seed the route ignores is refused
+        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("sequence", help="construct a sequencing certificate")
     group_flags(p)
@@ -114,13 +114,14 @@ def _emit(doc, args, human: str) -> None:
 
 def _refuse_ignored_flags(args) -> None:
     """GroupFormatError naming a group flag that the chosen route ignores."""
-    given = [f for f in ("q", "m", "p", "k", "b") if getattr(args, f) is not None]
+    given = [f for f in ("q", "m", "p", "k", "b", "seed") if getattr(args, f) is not None]
     given += ["nine"] if args.nine else []
     for applies, flags, why in (
         (args.order is not None, ("q", "m", "p", "k", "b", "nine"), "with --order"),
         (args.p is not None, ("m",), "with --p"),
         (args.k is not None, ("nine",), "with --k"),
         (args.p is None, ("k", "b", "nine"), "without --p"),
+        (args.m is not None, ("seed",), "with --m"),
     ):
         ignored = [f for f in flags if f in given]
         if applies and ignored:
@@ -130,15 +131,16 @@ def _refuse_ignored_flags(args) -> None:
 def _pick_group(args):
     """Run the pipeline selected by the flag combination."""
     _refuse_ignored_flags(args)
+    seed = args.seed or 0
     if args.order is not None:
-        return sequence_order(args.order, seed=args.seed)
+        return sequence_order(args.order, seed=seed)
     if args.p is not None:
         if args.q is None:
             raise GroupFormatError("--p needs --q")
         b = _parse_b(args.b)
         if args.k is not None:
-            return sequence_non3(args.p, args.k, args.q, b, seed=args.seed)
-        return sequence_theorem3(args.p, args.q, b, nine=args.nine, seed=args.seed)
+            return sequence_non3(args.p, args.k, args.q, b, seed=seed)
+        return sequence_theorem3(args.p, args.q, b, nine=args.nine, seed=seed)
     if args.q is not None and args.m is not None:
         return sequence_cyclic(args.q, args.m)
     raise GroupFormatError("give --order, or --q with --m, or --p with --q")

@@ -230,10 +230,6 @@ class AbelianSpec:
         self._check(a), self._check(b)
         return tuple((x - y) % m for x, y, m in zip(a, b, self.factors))
 
-    def scale(self, c: int, a: Sequence[int]) -> AbElem:
-        self._check(a)
-        return tuple((c * x) % m for x, m in zip(a, self.factors))
-
     # protocol aliases so abelian groups plug into generic group code
     def mul(self, a, b):
         return self.add(a, b)

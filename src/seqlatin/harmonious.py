@@ -4,30 +4,35 @@ A harmonious sequence lists every group element once so that the cyclic
 consecutive sums c_i + c_{i+1} are again a permutation of the group.  The
 #-harmonious variant drops the identity from both the entries and the
 sums.  The BGHJ base constructions cover odd cyclic groups and Z_3 x Z_3,
-and the product construction folds a matched pair for C with a harmonious
-sequence for D into a matched pair for C x D; together they produce a
-#-harmonious sequence for every odd-order abelian group except Z_3.
+and the product construction folds a matched pair for C with the ascending
+harmonious sequence 0, 1, ..., w-1 of Z_w into a matched pair for C x Z_w;
+together they produce a #-harmonious sequence for every odd-order abelian
+group except Z_3.
+
+Entries are base indices of their group, its mixed-radix values: a Z_m
+element is its own index, (a, b) of Z_3 x Z_3 is 3a + b, and folding in
+Z_w puts (c, d) at c*w + d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import ConstructionFailed, GroupFormatError, NotCoprime
-from .groups import AbElem, AbelianSpec
+from .groups import AbelianSpec
 
 
 @dataclass(frozen=True)
 class HashHarmonious:
     group: AbelianSpec
-    entries: tuple[AbElem, ...]
+    entries: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Harmonious:
     group: AbelianSpec
-    entries: tuple[AbElem, ...]
+    entries: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -61,104 +66,76 @@ def _cyclic_base_ints(r: int) -> tuple[list[int], list[int]]:
     return hsh, harm
 
 
-# the printed order-9 pair for Z_3 x Z_3
-_Z33_HASH = ((1, 1), (2, 0), (2, 1), (0, 2), (2, 2), (1, 0), (1, 2), (0, 1))
-_Z33_HARM = ((1, 1), (2, 1), (0, 2), (1, 2), (2, 2), (0, 0), (1, 0), (2, 0), (0, 1))
+# the printed order-9 pair for Z_3 x Z_3, (a, b) at 3a + b
+_Z33_HASH = (4, 6, 7, 2, 8, 3, 5, 1)
+_Z33_HARM = (4, 7, 2, 5, 8, 0, 3, 6, 1)
 
 
 def bghj_base(group: AbelianSpec) -> MatchedPair:
     """The BGHJ matched pair for an odd cyclic group of order >= 5 or Z_3 x Z_3."""
     if group.factors == (3, 3):
-        hsh, harm = list(_Z33_HASH), list(_Z33_HARM)
+        hsh, harm = _Z33_HASH, _Z33_HARM
     elif len(group.factors) == 1 and group.order % 2 == 1 and group.order >= 5:
-        ih, im = _cyclic_base_ints(group.order)
-        hsh = [(v,) for v in ih]
-        harm = [(v,) for v in im]
+        hsh, harm = map(tuple, _cyclic_base_ints(group.order))
     else:
         raise GroupFormatError(
             f"base construction needs odd cyclic order >= 5 or Z_3 x Z_3, got {group.factors}"
         )
-    return MatchedPair(HashHarmonious(group, tuple(hsh)), Harmonious(group, tuple(harm)))
+    return MatchedPair(HashHarmonious(group, hsh), Harmonious(group, harm))
 
 
-def ascending_harmonious(group: AbelianSpec) -> Harmonious:
-    """0, 1, ..., n-1 for odd cyclic groups; starts at the identity."""
-    if len(group.factors) > 1 or group.order % 2 == 0:
-        raise GroupFormatError("ascending form needs an odd cyclic group")
-    if group.factors == ():
-        entries: tuple[AbElem, ...] = ((),)
-    else:
-        entries = tuple((v,) for v in range(group.order))
-    return Harmonious(group, entries)
+def bghj_product(cd: MatchedPair, w: int) -> MatchedPair:
+    """Fold a matched pair for C with 0, 1, ..., w-1 of Z_w into one for C x Z_w.
 
-
-def bghj_product(cd: MatchedPair, d: Harmonious) -> MatchedPair:
-    """Fold a matched pair for C with a harmonious sequence for D into one for C x D.
-
-    d must start at the identity of D; both orders must be odd.  The two
-    block concatenations are re-indexed by the lexicographically least
-    rotation pair that restores the shared-endpoint property.
+    w must be odd and at least 3.  The two block concatenations are
+    re-indexed by the first rotation pair that restores the
+    shared-endpoint property.
     """
-    cgroup = cd.hash.group
-    dgroup = d.group
-    if cgroup.order % 2 == 0 or dgroup.order % 2 == 0:
-        raise GroupFormatError("product construction needs odd orders")
-    if d.entries[0] != dgroup.identity:
-        raise GroupFormatError("harmonious factor must start at the identity")
-    product = AbelianSpec(cgroup.factors + dgroup.factors)
-    chash = cd.hash.entries
-    charm = cd.harm.entries
-    dzero = dgroup.identity
-    hsh = [c + dzero for c in chash]
-    for dj in d.entries[1:]:
-        hsh.extend(c + dj for c in charm)
-    harm = [c + dj for dj in d.entries for c in charm]
+    if w % 2 == 0 or w < 3:
+        raise GroupFormatError(f"product construction needs an odd factor >= 3, got {w}")
+    charm = [c * w for c in cd.harm.entries]
+    hsh = [c * w for c in cd.hash.entries]
+    for d in range(1, w):
+        hsh += [c + d for c in charm]
+    harm = [c + d for d in range(w) for c in charm]
     # harm lists each element once, so hsh[i] fixes the one j to try
     at = {e: j for j, e in enumerate(harm)}
     for i, e in enumerate(hsh):
-        j = at.get(e, 0)
-        if harm[j] == e and hsh[i - 1] == harm[j - 1]:
+        j = at[e]
+        if hsh[i - 1] == harm[j - 1]:
             break
     else:
         raise ConstructionFailed("bghj_product", "no rotation restores the matched endpoints")
-    hsh = hsh[i:] + hsh[:i]
-    harm = harm[j:] + harm[:j]
+    product = AbelianSpec(cd.hash.group.factors + (w,))
     return MatchedPair(
-        HashHarmonious(product, tuple(hsh)), Harmonious(product, tuple(harm))
+        HashHarmonious(product, tuple(hsh[i:] + hsh[:i])),
+        Harmonious(product, tuple(harm[j:] + harm[:j])),
     )
-
-
-def _decompose(group: AbelianSpec) -> tuple[list[int], list[int]]:
-    """Indices of the factors forming the base block, then the rest in order."""
-    factors = group.factors
-    for i, f in enumerate(factors):
-        if f > 3:
-            chosen = [i]
-            break
-    else:
-        chosen = [0, 1]  # hash_for's odd order >= 5 makes every factor 3, at least two
-    rest = [i for i in range(len(factors)) if i not in chosen]
-    return chosen, rest
 
 
 def hash_for(group: AbelianSpec) -> HashHarmonious:
-    """A #-harmonious sequence for any odd-order abelian group except Z_3."""
+    """A #-harmonious sequence for any odd-order abelian group except Z_3.
+
+    The base block is the first factor above 3, or Z_3 x Z_3 when every
+    factor is 3; the other factors fold in one at a time, in order.
+    """
     m = group.order
     if m % 2 == 0 or m < 5:
         raise GroupFormatError(f"need odd order >= 5, got {m}")
-    chosen, rest = _decompose(group)
     factors = group.factors
-    base_group = AbelianSpec(tuple(factors[i] for i in chosen))
-    pair = bghj_base(base_group)
-    for i in rest:
-        dgroup = AbelianSpec((factors[i],))
-        pair = bghj_product(pair, ascending_harmonious(dgroup))
-    # fold order placed the base block first; restore the original coordinates
-    built_order = chosen + rest
-    slot_of = {orig: pos for pos, orig in enumerate(built_order)}
-    entries = tuple(
-        tuple(e[slot_of[i]] for i in range(len(factors))) for e in pair.hash.entries
-    )
+    b = next((i for i, f in enumerate(factors) if f > 3), 0)
+    width = 1 if factors[b] > 3 else 2
+    pair = bghj_base(AbelianSpec(factors[b : b + width]))
+    for w in factors[:b] + factors[b + width :]:
+        pair = bghj_product(pair, w)
+    entries = pair.hash.entries
+    if b:
+        # the fold put the base digit ahead of the b leading 3s; move it back
+        f, low = factors[b], prod(factors[b + 1 :])
+        span = m // f
+        entries = tuple(
+            (r // low * f + d) * low + r % low for d, r in (divmod(e, span) for e in entries)
+        )
     return HashHarmonious(group, entries)
 
 
@@ -170,7 +147,9 @@ def transform_hash(h: HashHarmonious, op: str, arg=None) -> HashHarmonious:
         u = int(arg)
         if gcd(u, group.exponent) != 1:
             raise NotCoprime(f"{u} is not a unit for exponent {group.exponent}")
-        entries = [group.scale(u, e) for e in entries]
+        digits, entries = group.columns(entries), [0] * len(entries)
+        for col, f in zip(digits, group.factors):
+            entries = [i * f + u * x % f for i, x in zip(entries, col)]
     elif op == "rotate":
         j = int(arg) % len(entries)
         entries = entries[j:] + entries[:j]

@@ -245,7 +245,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
     sds = {r: SdSpec(q, A, Automorphism((ScalarBlock(m, r),))) for r in rs}
     lam = find_lambda(q)
     k = (m - 1) // 2
-    hash_vals = [e[0] for e in bghj_base(A).hash.entries]
+    hash_vals = list(bghj_base(A).hash.entries)
     gperm = walecki_graceful(k)
     terrace_vals = [e[0] for e in graceful_to_r_terrace(gperm).entries]
     inv2 = pow(2, -1, m)
@@ -410,27 +410,17 @@ def _spans_plane(u, v, p) -> bool:
     return any((u[a] * v[b] - u[b] * v[a]) % p for a, b in combinations(range(len(u)), 2))
 
 
-def _locate_pair(values, first, last):
-    n = len(values)
-    for rev in (False, True):
-        seq = values[::-1] if rev else values
-        for j in range(n):
-            if seq[j] == first and seq[j - 1] == last:
-                return j, rev
-    return None
-
-
 def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
     """Allocate hash endpoints, move a terrace pair onto the targets, certify.
 
     Both (c_1, c_last) allocations of {1, -2} (first slot) are tried;
     the endpoint conditions then pin the targets, and any adjacent
     independent order-p pair of the extended terrace can be carried
-    onto them by an automorphism fixing the cofactors.  The terrace and
-    hash_for(A) become base indices once: the targets come from twist
-    and quot, the p-block is the non-zero multiples of |A| / p^prefix,
-    and psi applies by its index table.  Only psi's inputs and the
-    provenance are decoded.
+    onto them by an automorphism fixing the cofactors.  hash_for(A) is
+    already base indices and the terrace becomes them once: the targets
+    come from twist and quot, the p-block is the non-zero multiples of
+    |A| / p^prefix, and psi applies by its index table.  Only psi's
+    inputs and the provenance are decoded.
     """
     A, q = sd.base, sd.s
     # psi acts on the whole leading run of Z_p factors, which outgrows
@@ -439,17 +429,22 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
     while width < len(A.factors) and A.factors[width] == p:
         width += 1
     decode = A.decode
-    tv, hv = A.indices(rt.entries), A.indices(hash_for(A).entries)
+    tv, hv = A.indices(rt.entries), hash_for(A).entries
+    n = len(hv)
     digits = dict(zip(tv, zip(*A.columns(tv)[:prefix])))
     block = A.order // p**prefix  # the p-block is the non-zero multiples of this
     one = A.order // p  # (1, 0, ..., 0), as A starts with Z_p; -2 is (p - 2) * one
     failures = []
     for c1, clast in (((p - 2) * one, one), (one, (p - 2) * one)):
-        pl = _locate_pair(hv, c1, clast)
-        if pl is None:
+        # hv lists each non-zero index once, so c1 has one place to sit
+        i = hv.index(c1)
+        if hv[i - 1] == clast:
+            start, hrev = i, False
+        elif hv[(i + 1) % n] == clast:
+            start, hrev = n - 1 - i, True
+        else:
             failures.append("hash endpoints not adjacent")
             continue
-        start, hrev = pl
         x = A.quot(sd.twist(q - 1)[c1], A.quot(A.quot(c1, 0), clast))
         y = A.quot(sd.twist(lam - 1)[clast], x)
         if x == 0 or y == 0:

@@ -61,6 +61,16 @@ def test_sequence_seed_threads(capsys):
     code, out, _ = run(capsys, ["sequence", "--order", "75", "--seed", "2"])
     assert code == 0
     assert json.loads(out)["certificate"]["provenance"]["seed"] == 2
+    code, out, _ = run(capsys, ["sequence", "--p", "5", "--q", "3", "--seed", "1"])
+    assert code == 0
+    assert json.loads(out)["certificate"]["provenance"]["seed"] == 1
+
+
+def test_sequence_seed_defaults_to_zero(capsys):
+    flags = ["sequence", "--p", "5", "--k", "2", "--q", "3"]
+    default = run(capsys, flags)
+    assert default[0] == 0
+    assert run(capsys, [*flags, "--seed", "0"]) == default
 
 
 def test_sequence_explicit_product_flags(capsys):
@@ -99,6 +109,8 @@ def test_usage_errors(capsys):
         (["--p", "5", "--q", "3", "--k", "2", "--nine"], "--nine is ignored with --k"),
         (["--q", "3", "--m", "7", "--b", "5"], "--b is ignored without --p"),
         (["--q", "3", "--m", "7", "--k", "2"], "--k is ignored without --p"),
+        (["--q", "3", "--m", "7", "--seed", "5"], "--seed is ignored with --m"),
+        (["--q", "3", "--m", "7", "--seed", "0"], "--seed is ignored with --m"),
     ],
 )
 def test_group_flags_the_route_ignores_exit_2(capsys, command, flags, ignored):

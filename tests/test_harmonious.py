@@ -1,20 +1,24 @@
+import hashlib
+
 import pytest
 
 from seqlatin.errors import GroupFormatError, NotCoprime
 from seqlatin.groups import AbelianSpec, cyclic
-from seqlatin.harmonious import (
-    Harmonious,
-    ascending_harmonious,
-    bghj_base,
-    bghj_product,
-    hash_for,
-    transform_hash,
-)
+from seqlatin.harmonious import bghj_base, bghj_product, hash_for, transform_hash
 from seqlatin.oracle import naive_harmonious, naive_hash_harmonious
 
 
-def ints(entries):
-    return tuple(e[0] for e in entries)
+def elements(group, idx):
+    """The elements at base indices idx, as the naive checkers take them."""
+    return list(zip(*group.columns(idx)))
+
+
+def is_hash(seq):
+    return naive_hash_harmonious(seq.group, elements(seq.group, seq.entries))
+
+
+def is_harm(seq):
+    return naive_harmonious(seq.group, elements(seq.group, seq.entries))
 
 
 def test_check_hash_z9_example():
@@ -37,20 +41,23 @@ def test_check_hash_rejects_wrong_shapes():
 
 def test_bghj_base_z9():
     pair = bghj_base(cyclic(9))
-    assert ints(pair.hash.entries) == (4, 2, 8, 6, 5, 7, 1, 3)
-    assert ints(pair.harm.entries) == (4, 5, 6, 7, 8, 0, 1, 2, 3)
+    assert pair.hash.entries == (4, 2, 8, 6, 5, 7, 1, 3)
+    assert pair.harm.entries == (4, 5, 6, 7, 8, 0, 1, 2, 3)
 
 
 def test_bghj_base_z7():
     pair = bghj_base(cyclic(7))
-    assert ints(pair.hash.entries) == (3, 1, 5, 4, 6, 2)
-    assert ints(pair.harm.entries) == (3, 4, 5, 6, 0, 1, 2)
+    assert pair.hash.entries == (3, 1, 5, 4, 6, 2)
+    assert pair.harm.entries == (3, 4, 5, 6, 0, 1, 2)
 
 
 def test_bghj_base_z3_squared():
     pair = bghj_base(AbelianSpec((3, 3)))
-    assert naive_hash_harmonious(pair.hash.group, pair.hash.entries)
-    assert naive_harmonious(pair.harm.group, pair.harm.entries)
+    # the printed pair, (a, b) at 3a + b
+    assert elements(pair.hash.group, pair.hash.entries) == [
+        (1, 1), (2, 0), (2, 1), (0, 2), (2, 2), (1, 0), (1, 2), (0, 1)
+    ]
+    assert is_hash(pair.hash) and is_harm(pair.harm)
     assert pair.hash.entries[0] == pair.harm.entries[0]
     assert pair.hash.entries[-1] == pair.harm.entries[-1]
 
@@ -58,8 +65,7 @@ def test_bghj_base_z3_squared():
 def test_bghj_base_sweep():
     for r in range(5, 60, 2):
         pair = bghj_base(cyclic(r))
-        assert naive_hash_harmonious(pair.hash.group, pair.hash.entries)
-        assert naive_harmonious(pair.harm.group, pair.harm.entries)
+        assert is_hash(pair.hash) and is_harm(pair.harm)
 
 
 def test_bghj_base_rejects_even_and_z3():
@@ -75,7 +81,7 @@ def test_matched_pair_requires_shared_endpoints():
     # MatchedPair checks nothing: the constructions build pairs of one
     # group whose two sequences share their first and last entries
     pairs = [bghj_base(cyclic(r)) for r in range(5, 30, 2)] + [bghj_base(AbelianSpec((3, 3)))]
-    pairs += [bghj_product(p, ascending_harmonious(cyclic(w))) for p in pairs[:4] for w in (3, 5, 7)]
+    pairs += [bghj_product(p, w) for p in pairs[:4] for w in (3, 5, 7)]
     for pair in pairs:
         assert pair.hash.group == pair.harm.group
         assert pair.hash.entries[0] == pair.harm.entries[0]
@@ -83,37 +89,28 @@ def test_matched_pair_requires_shared_endpoints():
 
 
 def test_product_z5_z3():
-    pair = bghj_product(bghj_base(cyclic(5)), ascending_harmonious(cyclic(3)))
-    g = pair.hash.group
-    assert g.factors == (5, 3)
-    assert naive_hash_harmonious(g, pair.hash.entries)
-    assert naive_harmonious(g, pair.harm.entries)
+    pair = bghj_product(bghj_base(cyclic(5)), 3)
+    assert pair.hash.group.factors == (5, 3)
+    assert is_hash(pair.hash) and is_harm(pair.harm)
     assert pair.hash.entries[0] == pair.harm.entries[0]
     assert pair.hash.entries[-1] == pair.harm.entries[-1]
 
 
 def test_product_z33_z3():
-    pair = bghj_product(bghj_base(AbelianSpec((3, 3))), ascending_harmonious(cyclic(3)))
+    pair = bghj_product(bghj_base(AbelianSpec((3, 3))), 3)
     assert pair.hash.group.factors == (3, 3, 3)
-    assert naive_hash_harmonious(pair.hash.group, pair.hash.entries)
+    assert is_hash(pair.hash) and is_harm(pair.harm)
 
 
-def test_product_trivial_factor_is_identity():
-    pair = bghj_base(cyclic(7))
-    out = bghj_product(pair, ascending_harmonious(AbelianSpec(())))
-    assert out.hash.entries == pair.hash.entries
-    assert out.harm.entries == pair.harm.entries
-
-
-def test_product_rejects_nonidentity_start():
-    d = ascending_harmonious(cyclic(3))
-    shifted = Harmonious(d.group, d.entries[1:] + d.entries[:1])
+@pytest.mark.parametrize("w", [1, 2, 4])
+def test_product_rejects_even_or_trivial_factor(w):
+    # Z_w folds in through 0, 1, ..., w-1, which needs odd w >= 3
     with pytest.raises(GroupFormatError):
-        bghj_product(bghj_base(cyclic(5)), shifted)
+        bghj_product(bghj_base(cyclic(5)), w)
 
 
 def test_hash_for_direct_base_case():
-    assert ints(hash_for(cyclic(9)).entries) == (4, 2, 8, 6, 5, 7, 1, 3)
+    assert hash_for(cyclic(9)).entries == (4, 2, 8, 6, 5, 7, 1, 3)
 
 
 def test_hash_for_products():
@@ -124,9 +121,35 @@ def test_hash_for_products():
         AbelianSpec((3, 3, 3)),
         AbelianSpec((3, 3, 5)),
         AbelianSpec((5, 5, 3)),
+        AbelianSpec((3, 5)),
+        AbelianSpec((3, 3, 7)),
+        AbelianSpec((3, 9)),
     ]:
-        h = hash_for(g)
-        assert naive_hash_harmonious(g, h.entries)
+        assert is_hash(hash_for(g)), g.factors
+
+
+# blake2b-128 of repr(tuple of hash_for(g)'s elements), recorded while
+# hash_for still built element tuples; the groups with Z_3 factors ahead
+# of the base factor are the ones whose base digit moves back into place
+HASH_FOR_DIGESTS = {
+    (3, 5): "a87eb8132b869c4323deb70b3371a293",
+    (3, 3, 5): "bba1914733838f63c572c7bddd4a9d73",
+    (3, 7, 5): "2e724538b87cdc2a524a9736bed27b63",
+    (3, 5, 3): "c1453aa520c65271f8bdfe81ea53e557",
+    (7, 3, 3): "edd3ac86bd71c1cd7fd1317339f818cf",
+    (3, 3, 3, 3): "06f7cf5eeaee4876b7ff9c7b7d3c8b80",
+    (9,): "47f67e3660ce0f7cd352edb97e062005",
+    (3, 9): "b201815ddaeee7e21e54cfec20be52bd",
+    (3, 3, 7, 11): "7c016b1480310cc54a368ba823c83b31",
+}
+
+
+@pytest.mark.parametrize("factors", list(HASH_FOR_DIGESTS), ids=lambda f: "x".join(map(str, f)))
+def test_hash_for_pin(factors):
+    g = AbelianSpec(factors)
+    decoded = tuple(elements(g, hash_for(g).entries))
+    digest = hashlib.blake2b(repr(decoded).encode(), digest_size=16).hexdigest()
+    assert digest == HASH_FOR_DIGESTS[factors]
 
 
 def test_hash_for_rejects_z3_and_even():
@@ -138,7 +161,7 @@ def test_hash_for_rejects_z3_and_even():
 
 def test_cyclic_base_has_one_and_minus_two_adjacent():
     for m in range(5, 100, 2):
-        entries = ints(bghj_base(cyclic(m)).hash.entries)
+        entries = bghj_base(cyclic(m)).hash.entries
         n = len(entries)
         spots = [
             i
@@ -153,8 +176,18 @@ def test_cyclic_base_has_one_and_minus_two_adjacent():
 def test_transform_scale():
     h = bghj_base(cyclic(7)).hash
     out = transform_hash(h, "scale", 2)
-    assert naive_hash_harmonious(h.group, out.entries)
-    assert out.entries == tuple(((2 * v[0]) % 7,) for v in h.entries)
+    assert is_hash(out)
+    assert out.entries == tuple(2 * v % 7 for v in h.entries)
+
+
+def test_transform_scale_is_digitwise():
+    g = AbelianSpec((3, 3, 5))
+    h = hash_for(g)
+    out = transform_hash(h, "scale", 7)
+    assert is_hash(out)
+    assert elements(g, out.entries) == [
+        (7 * a % 3, 7 * b % 3, 7 * c % 5) for a, b, c in elements(g, h.entries)
+    ]
 
 
 def test_transform_rotate_zero_is_identity():
@@ -166,7 +199,7 @@ def test_transform_reverse():
     h = bghj_base(cyclic(9)).hash
     out = transform_hash(h, "reverse")
     assert out.entries == h.entries[::-1]
-    assert naive_hash_harmonious(h.group, out.entries)
+    assert is_hash(out)
 
 
 def test_transform_rejects_non_unit():

@@ -263,6 +263,9 @@ ELEMENT_CALLS = {
 
 # the certificate path, construction to JSON, which works on element indices
 INDEX_PATH = (
+    "harmonious.bghj_base",
+    "harmonious.bghj_product",
+    "harmonious.hash_for",
     "latin.walecki_terrace",
     "pipelines._try_cyclic_candidate",
     "template.theorem4_assign",
@@ -308,11 +311,11 @@ def _element_callers(sources: dict[str, ast.Module], targets, banned=ELEMENT_CAL
 
 
 def test_certificate_path_does_no_element_arithmetic():
-    """Walecki's terrace, the cyclic candidate, the Theorem-4 arrangement,
-    the gate's caller and the JSON writer read and write indices: no tuple
-    sum, twist or decode per element, and no strict map, RTerrace or
-    transform_hash to carry Z_m ints through 1-tuples.  A failed endpoint
-    condition decodes its message apart."""
+    """The #-harmonious sequences, Walecki's terrace, the cyclic candidate,
+    the Theorem-4 arrangement, the gate's caller and the JSON writer read
+    and write indices: no tuple sum, twist or decode per element, and no
+    strict map, RTerrace or transform_hash to carry Z_m ints through
+    1-tuples.  A failed endpoint condition decodes its message apart."""
     sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert _element_callers(sources, INDEX_PATH) == set()
 
