@@ -611,14 +611,12 @@ class SdSpec:
     def quots(self, idx) -> list[int]:
         """quot(idx[k], idx[k + 1]) for every k of an index list."""
         s, na, twists = self.s, self.base.order, self._twists
-        pairs = list(zip(idx, idx[1:]))
-        ds = [(j // na - i // na) % s for i, j in pairs]
+        nxt = idx[1:]
+        ds = [(j // na - i // na) % s for i, j in zip(idx, nxt)]
         if self.base._lead is None:  # one factor: subtract mod |A| inline
-            return [
-                d * na + (j - twists[d][i % na]) % na for d, (i, j) in zip(ds, pairs)
-            ]
-        vs = [twists[d][i % na] for d, (i, _) in zip(ds, pairs)]
-        diffs = self.base.diffs(vs, [j % na for _, j in pairs])
+            return [d * na + (j - twists[d][i % na]) % na for d, i, j in zip(ds, idx, nxt)]
+        vs = [twists[d][i % na] for d, i in zip(ds, idx)]
+        diffs = self.base.diffs(vs, [j % na for j in nxt])
         return [d * na + b for d, b in zip(ds, diffs)]
 
     def columns(self, idx) -> list[list[int]]:

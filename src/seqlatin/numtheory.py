@@ -114,9 +114,38 @@ def unit_of_order_exists(m: int, q: int) -> bool:
     return False
 
 
+def _local_torsion(p: int, a: int, q: int) -> list[int]:
+    """Every x mod p^a with x^q = 1, for an odd prime q.
+
+    For p = q and a >= 2 those are 1 + j*q^(a-1), j < q.  For p = 1 mod q
+    the units mod p^a are cyclic of order phi = p^(a-1)(p-1), so the
+    solutions are the powers of any x^(phi/q) that is not 1.  Otherwise q
+    does not divide the local order and only 1 solves it.
+    """
+    if p == q and a >= 2:
+        return [1 + j * q ** (a - 1) for j in range(q)]
+    if p % q != 1:
+        return [1]
+    pa, e = p**a, p ** (a - 1) * (p - 1) // q
+    y = next(y for y in (pow(x, e, pa) for x in itertools.count(2)) if y != 1)
+    return [pow(y, j, pa) for j in range(q)]
+
+
 def units_of_order(m: int, q: int) -> list[int]:
-    """All units of multiplicative order exactly q mod m (q prime), ascending."""
-    return [r for r in range(2, m) if math.gcd(r, m) == 1 and pow(r, q, m) == 1]
+    """All units of multiplicative order exactly q mod m (q an odd prime),
+    ascending.
+
+    By the CRT, x^q = 1 mod m iff it holds mod each prime power p^a of m,
+    so the solutions are the combinations of the local ones
+    (_local_torsion); every solution but 1 has order q.
+    """
+    sols, mod = [1], 1
+    for p, a in factorize(m):
+        pa = p**a
+        lift = pow(mod, -1, pa)
+        sols = [x + mod * ((y - x) * lift % pa) for x in sols for y in _local_torsion(p, a, q)]
+        mod *= pa
+    return sorted(sols)[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ audited offline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, count, product
 from math import gcd
 from typing import Optional, Sequence
 
@@ -164,21 +164,41 @@ def _unit_sending(a: int, b: int, x: int, y: int, m: int) -> Optional[int]:
     return u if u * b % m == y % m else None
 
 
-def _cyclic_placement(values: Sequence[int], m: int, first: int, last: int):
+def _end_pairs(values: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Every (entry, cyclic predecessor) of a value list, forward then reversed.
+
+    Position i < n is position i of values, position n + j position j of
+    the reversed list, so a scan in index order tries the forward
+    arrangements first.  Built once per list and passed to every
+    _cyclic_placement query on it.
+    """
+    fwd, rev = list(values), list(values[::-1])
+    return fwd + rev, fwd[-1:] + fwd[:-1] + rev[-1:] + rev[:-1]
+
+
+def _cyclic_placement(ends, m: int, first: int, last: int):
     """(u, start, reversed) arranging a cyclic value list to given ends.
 
-    The arrangement scales by the unit u and re-anchors at `start`, so
-    its first entry is u*values[start] and its last the cyclic
-    predecessor.  Both traversal directions are tried.
+    ends is the list's _end_pairs.  The arrangement scales by the unit u
+    and re-anchors at `start`, so its first entry is u*values[start] and
+    its last the cyclic predecessor; forward arrangements come first.
+    When first is a unit, so is the entry a sent to it, and u = first/a
+    is the only candidate: position j works iff its entry is a unit and
+    its predecessor b = k*a, k = last/first.  That ratio test is one
+    compare per position; a non-unit first tries _unit_sending at each.
     """
-    n = len(values)
-    for rev in (False, True):
-        seq = values[::-1] if rev else values
-        for j in range(n):
-            u = _unit_sending(seq[j], seq[j - 1], first, last, m)
-            if u is not None:
-                return u, j, rev
-    return None
+    cur, pred = ends
+    pairs = zip(count(), cur, pred)
+    if gcd(first, m) == 1:
+        k = last * pow(first, -1, m) % m
+        hits = (i for i, a, b in pairs if b == k * a % m and gcd(a, m) == 1)
+    else:
+        hits = (i for i, a, b in pairs if _unit_sending(a, b, first, last, m) is not None)
+    i = next(hits, None)
+    if i is None:
+        return None
+    n = len(cur) // 2
+    return _unit_sending(cur[i], pred[i], first, last, m), i % n, i >= n
 
 
 def _hash_ops(u: int, start: int, rev: bool) -> list:
@@ -191,24 +211,31 @@ def _hash_ops(u: int, start: int, rev: bool) -> list:
     return ops
 
 
-def _try_cyclic_candidate(sd, lam, hash_vals, terrace_vals, r, u, start, rev):
+def _arranged(ends, m: int, u: int, start: int, rev: bool) -> list[int]:
+    """A value list, given by its _end_pairs, scaled by u, reversed if rev,
+    then rotated to start."""
+    n = len(ends[0]) // 2
+    seq = ends[0][n:] if rev else ends[0][:n]
+    return [u * v % m for v in seq[start:] + seq[:start]]
+
+
+def _try_cyclic_candidate(sd, lam, hash_ends, terrace_ends, r, u, start, rev):
     """The arrangement and its provenance, or None; every list is Z_m ints."""
     q, m = sd.s, sd.base.order
-    seq = hash_vals[::-1] if rev else hash_vals
-    c1 = u * seq[start] % m
-    clast = u * seq[start - 1] % m
+    i = start + (len(hash_ends[0]) // 2 if rev else 0)
+    c1 = u * hash_ends[0][i] % m
+    clast = u * hash_ends[1][i] % m
     rq1, rl1 = pow(r, q - 1, m), pow(r, lam - 1, m)
     x = (c1 + clast - rq1 * c1) % m
     y = (x - rl1 * clast) % m
     if x == 0 or y == 0:
         return None
-    pl = _cyclic_placement(terrace_vals, m, x, y)
+    pl = _cyclic_placement(terrace_ends, m, x, y)
     if pl is None:
         return None
     tu, tstart, trev = pl
-    tseq = terrace_vals[::-1] if trev else terrace_vals
-    a = [tu * v % m for v in tseq[tstart:] + tseq[:tstart]]
-    h = [u * v % m for v in seq[start:] + seq[:start]]
+    a = _arranged(terrace_ends, m, *pl)
+    h = _arranged(hash_ends, m, u, start, rev)
     arr = assemble(theorem4_assign(a, h, sd, lam))
     detail = {
         "a1": x,
@@ -225,13 +252,14 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
     """Sequencing of Z_q x| Z_m driven by the order-q unit action.
 
     The #-harmonious base sequence and the lifted Walecki R-terrace each
-    admit a unit-scaling/rotation/reversal orbit; we scan allocations of
+    admit a unit-scaling/rotation/reversal orbit.  Candidates allocate
     the hash endpoints (principal (-2s, s)-shaped ones first, then every
-    reachable pair) and solve for the terrace arrangement realizing the
-    two endpoint conditions exactly, so no per-candidate search is
-    needed.  Both lists stay Z_m ints, each its own base index, from the
-    scan through theorem4_assign.  The first candidate that passes
-    _certify is returned.
+    reachable pair), and the terrace arrangement that realizes the two
+    endpoint conditions is solved for, not searched: _cyclic_placement
+    finds it by the ratio of its ends, on (entry, predecessor) tables of
+    both lists built once per call.  Both lists stay Z_m ints, each its
+    own base index, from the scan through theorem4_assign.  The first
+    candidate that passes _certify is returned.
     """
     _check_order(q, m)
     if not is_prime(q) or q % 2 == 0:
@@ -248,6 +276,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
     hash_vals = list(bghj_base(A).hash.entries)
     gperm = walecki_graceful(k)
     terrace_vals = [e[0] for e in graceful_to_r_terrace(gperm).entries]
+    hash_ends, terrace_ends = _end_pairs(hash_vals), _end_pairs(terrace_vals)
     inv2 = pow(2, -1, m)
 
     def certify(sd, r, arr, detail, route, extra):
@@ -272,10 +301,10 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
         for sign in (1, -1):
             s = sign * s0 % m
             for role, c1 in (("A", -2 * s % m), ("B", -s * inv2 % m)):
-                pl = _cyclic_placement(hash_vals, m, c1, s)
+                pl = _cyclic_placement(hash_ends, m, c1, s)
                 if pl is None:
                     continue
-                got = _try_cyclic_candidate(sd, lam, hash_vals, terrace_vals, r, *pl)
+                got = _try_cyclic_candidate(sd, lam, hash_ends, terrace_ends, r, *pl)
                 cert = got and certify(sd, r, *got, "principal", {"sign": sign, "role": role})
                 if cert:
                     return cert
@@ -287,7 +316,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
             for rev in (False, True):
                 for start in range(m - 1):
                     got = _try_cyclic_candidate(
-                        sd, lam, hash_vals, terrace_vals, r, u, start, rev
+                        sd, lam, hash_ends, terrace_ends, r, u, start, rev
                     )
                     cert = got and certify(sd, r, *got, "extended", {})
                     if cert:

@@ -107,6 +107,16 @@ def test_units_of_order_match_brute_force():
             assert unit_of_order_exists(m, q) == bool(brute)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_units_of_order_by_crt_match_brute_force(q):
+    # q^2 | m, q^3 | m, two primes = 1 mod q, and mixed factors
+    p1, p2 = [p for p in sympy.primerange(3, 200) if p % q == 1][:2]
+    ms = (189, 819, 243 * 7, 49 * 29, 121 * 23, 25 * 11 * 31, 2 * q**3, p1 * p2, q**2 * p1)
+    for m in ms:
+        brute = [r for r in range(2, m) if math.gcd(r, m) == 1 and pow(r, q, m) == 1]
+        assert units_of_order(m, q) == brute, m
+
+
 def test_unit_order_is_exact():
     for m, q in ((7, 3), (9, 3), (11, 5), (29, 7), (63, 3), (121, 5)):
         assert {mult_order(r, m) for r in units_of_order(m, q)} == {q}

@@ -1,6 +1,10 @@
 """Certificates from the cyclic, product, and spectrum pipelines."""
 
+import hashlib
 import json
+import random
+from itertools import product
+from math import gcd
 
 import pytest
 import sympy
@@ -13,12 +17,15 @@ from seqlatin.errors import (
     NoSuchUnit,
     NotIndependent,
 )
-from seqlatin.groups import AbelianSpec
+from seqlatin.graceful import graceful_to_r_terrace, walecki_graceful
+from seqlatin.groups import AbelianSpec, cyclic
+from seqlatin.harmonious import bghj_base
 from seqlatin.latin import (
     completeness_report,
     is_directed_terrace,
     terrace_to_complete_square,
 )
+from seqlatin.numtheory import classify_order
 from seqlatin.pipelines import (
     NoGroupBasedCLS,
     SequencingCertificate,
@@ -89,6 +96,77 @@ def test_cyclic_rejects_bad_parameters():
         sequence_cyclic(3, 8)
     with pytest.raises(NoSuchUnit):
         sequence_cyclic(3, 5)  # no unit of order 3 mod 5
+
+
+def _scan_placement(values, m, first, last):
+    """The placement as a plain scan: _unit_sending at every position,
+    forward then reversed.  The reference the ratio test must match."""
+    for rev in (False, True):
+        seq = values[::-1] if rev else values
+        for j in range(len(seq)):
+            u = pipelines._unit_sending(seq[j], seq[j - 1], first, last, m)
+            if u is not None:
+                return u, j, rev
+    return None
+
+
+def _cyclic_lists(m):
+    hash_vals = list(bghj_base(cyclic(m)).hash.entries)
+    gperm = walecki_graceful((m - 1) // 2)
+    return hash_vals, [e[0] for e in graceful_to_r_terrace(gperm).entries]
+
+
+@pytest.mark.parametrize("m", [7, 9, 13, 25, 45, 49, 63, 81, 91, 315])
+def test_cyclic_placement_matches_scan(m):
+    if m <= 45:
+        ends = list(product(range(m), repeat=2))
+    else:
+        rng = random.Random(m)
+        ends = [(rng.randrange(m), rng.randrange(m)) for _ in range(60)]
+    # both kinds of first and of last, whatever the sample drew
+    assert {gcd(x, m) == 1 for x, _ in ends} == {gcd(y, m) == 1 for _, y in ends} == {True, False}
+    for values in _cyclic_lists(m):
+        table = pipelines._end_pairs(values)
+        for first, last in ends:
+            got = pipelines._cyclic_placement(table, m, first, last)
+            assert got == _scan_placement(values, m, first, last), (first, last)
+
+
+def test_cyclic_placement_calls_unit_sending_at_hits(monkeypatch):
+    # a unit first is placed by the end ratio, with _unit_sending only at
+    # the hit; the plain scan called it 1719 and 703 times on these
+    calls = []
+    unit_sending = pipelines._unit_sending
+    monkeypatch.setattr(
+        pipelines, "_unit_sending", lambda *a: calls.append(a) or unit_sending(*a)
+    )
+    assert sequence_cyclic(3, 1663).provenance["route"] == "principal"
+    assert len(calls) <= 8
+    calls.clear()
+    assert sequence_cyclic(3, 81).provenance["route"] == "extended"
+    assert len(calls) <= 300
+
+
+# blake2b-128 of the sorted compact to_json() of sequence_cyclic(q, m),
+# one line each, for the pairs with q <= 13, m < 401 and q*m <= 5000 that
+# classify_order never picks as a witness (so the golden corpus misses
+# them); recorded with the plain placement scan
+UNPICKED_CYCLIC = [
+    (5, 93), (5, 183), (5, 231), (5, 279), (5, 297),
+    (7, 87), (7, 129), (7, 147), (7, 213), (7, 261), (7, 339), (7, 355), (7, 381), (7, 387),
+    (11, 115), (11, 201), (11, 335), (11, 345), (13, 159), (13, 237),
+]  # fmt: skip
+UNPICKED_CYCLIC_DIGEST = "a7cfb07cae08146946e14ef2aa85fc60"
+
+
+def test_unpicked_cyclic_pairs_pin():
+    h = hashlib.blake2b(digest_size=16)
+    for q, m in UNPICKED_CYCLIC:
+        w = classify_order(q * m).witness
+        assert (w.pipeline, w.q, w.m) != ("cyclic", q, m)
+        doc = sequence_cyclic(q, m).to_json()
+        h.update((json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode())
+    assert h.hexdigest() == UNPICKED_CYCLIC_DIGEST
 
 
 def test_nondiag_aut_example():
@@ -275,7 +353,6 @@ def test_theorem3_rejects_bad_parameters():
 
 def test_walecki_star_for_3p():
     # the lifted graceful zig-zag of Z_3p stars at 0-based 2p - 1
-    from seqlatin.graceful import graceful_to_r_terrace, walecki_graceful
     from seqlatin.rotational import RTerrace, check_r_terrace
 
     for p in (5, 7):
