@@ -351,6 +351,51 @@ def test_theorem3_rejects_bad_parameters():
         sequence_theorem3(5, 3, AbelianSpec((3,)))
 
 
+# blake2b-128 of the sorted compact to_json() of product certificates that
+# no order up to 5000 reaches, one line each: the ladder with k = 3, B with
+# a Z_p factor of its own (psi's run outgrows the prefix), B with two
+# factors, and theorem 3 with a B; recorded before the R-terrace layer
+# moved onto base indices
+UNREACHED_PRODUCTS = [
+    ("non3", (5, 3, 31, ())),
+    ("non3", (5, 2, 3, (5,))),
+    ("non3", (5, 2, 3, (5, 7))),
+    ("theorem3", (5, 3, (5,))),
+    ("theorem3", (5, 3, (7,))),
+]
+UNREACHED_PRODUCTS_DIGEST = "b2dfd24a05237041590d61a8f9f39639"
+
+
+def test_unreached_product_certificates_pin():
+    h = hashlib.blake2b(digest_size=16)
+    for pipeline, args in UNREACHED_PRODUCTS:
+        *head, b = args
+        build = sequence_non3 if pipeline == "non3" else sequence_theorem3
+        doc = build(*head, AbelianSpec(b)).to_json()
+        h.update((json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode())
+    assert h.hexdigest() == UNREACHED_PRODUCTS_DIGEST
+
+
+def test_product_arguments_fail_before_any_search(monkeypatch):
+    def searched(*args, **kwargs):
+        raise AssertionError("searched before refusing the arguments")
+
+    monkeypatch.setattr(pipelines, "search_r_terrace_retry", searched)
+    monkeypatch.setattr(pipelines, "_pk_base", searched)
+    with pytest.raises(Diagonalisable):
+        sequence_non3(7, 2, 3)
+    with pytest.raises(Diagonalisable):
+        sequence_theorem3(7, 3)
+    with pytest.raises(Diagonalisable):
+        sequence_theorem3(7, 3, nine=True)
+    with pytest.raises(ValueError):
+        sequence_non3(5, 2, 3, AbelianSpec((3,)))
+    with pytest.raises(ValueError):
+        sequence_theorem3(5, 3, AbelianSpec((3,)))
+    with pytest.raises(ValueError):
+        sequence_theorem3(5, 3, AbelianSpec((3,)), nine=True)
+
+
 def test_walecki_star_for_3p():
     # the lifted graceful zig-zag of Z_3p stars at 0-based 2p - 1
     from seqlatin.rotational import RTerrace, check_r_terrace
