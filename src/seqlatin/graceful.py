@@ -3,7 +3,7 @@
 A permutation g_1..g_k is graceful when the absolute consecutive
 differences |g_{i+1} - g_i| are pairwise distinct, hence exactly
 {1..k-1}.  Appending g_k + k, g_{k-1} + k, ..., g_1 + k yields a
-directed R-terrace of Z_{2k+1} whose wrap difference is k+1.
+directed R-terrace of Z_{2k+1}, as ints, whose wrap difference is k+1.
 """
 
 from __future__ import annotations
@@ -106,12 +106,12 @@ def graceful_with_first(k: int, x: int) -> tuple[int, ...]:
 def graceful_to_r_terrace(g: Sequence[int]) -> RTerrace:
     """Lift g_1..g_k to the R-terrace (g_1..g_k, g_k+k, ..., g_1+k) of Z_{2k+1}.
 
-    The lift of a graceful permutation is an R-terrace by theorem, so it
-    is not re-checked and carries no star index.
+    The lift of a graceful permutation is an R-terrace by theorem, held
+    as Z_{2k+1} ints; it is not re-checked and carries no star index.
     """
     if not is_graceful(g):
         raise ValueError(f"{tuple(g)} is not a graceful permutation")
     k = len(g)
-    entries = [(v % (2 * k + 1),) for v in g]
-    entries += [((g[i] + k) % (2 * k + 1),) for i in range(k - 1, -1, -1)]
-    return RTerrace(cyclic(2 * k + 1), tuple(entries))
+    n = 2 * k + 1
+    entries = [v % n for v in g] + [(v + k) % n for v in reversed(g)]
+    return RTerrace(cyclic(n), tuple(entries))

@@ -275,7 +275,7 @@ def sequence_cyclic(q: int, m: int) -> SequencingCertificate:
     k = (m - 1) // 2
     hash_vals = list(bghj_base(A).hash.entries)
     gperm = walecki_graceful(k)
-    terrace_vals = [e[0] for e in graceful_to_r_terrace(gperm).entries]
+    terrace_vals = list(graceful_to_r_terrace(gperm).entries)
     hash_ends, terrace_ends = _end_pairs(hash_vals), _end_pairs(terrace_vals)
     inv2 = pow(2, -1, m)
 
@@ -445,9 +445,9 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
     Both (c_1, c_last) allocations of {1, -2} (first slot) are tried;
     the endpoint conditions then pin the targets, and any adjacent
     independent order-p pair of the extended terrace can be carried
-    onto them by an automorphism fixing the cofactors.  hash_for(A) is
-    already base indices and the terrace becomes them once: the targets
-    come from twist and quot, the p-block is the non-zero multiples of
+    onto them by an automorphism fixing the cofactors.  The terrace and
+    hash_for(A) are base indices of A as they come: the targets come
+    from twist and quot, the p-block is the non-zero multiples of
     |A| / p^prefix, and psi applies by its index table.  Only psi's
     inputs and the provenance are decoded.
     """
@@ -458,7 +458,7 @@ def _finish_template(sd, lam, rt: RTerrace, p: int, prefix: int, prov: dict):
     while width < len(A.factors) and A.factors[width] == p:
         width += 1
     decode = A.decode
-    tv, hv = A.indices(rt.entries), hash_for(A).entries
+    tv, hv = rt.entries, hash_for(A).entries
     n = len(hv)
     digits = dict(zip(tv, zip(*A.columns(tv)[:prefix])))
     block = A.order // p**prefix  # the p-block is the non-zero multiples of this
@@ -542,6 +542,35 @@ def _pk_base(p: int, k: int, seed: int) -> tuple[RTerrace, str]:
     return cur, src
 
 
+def _sequence_product(
+    naut: NondiagAut, q: int, t: int, b: AbelianSpec, base: RTerrace, seed: int, prov: dict
+) -> SequencingCertificate:
+    """Sequencing of Z_q x| (Z_p^k x Z_t x B) from a standard R*-terrace base.
+
+    naut acts on Z_p^k.  base is of Z_p^k when t = 1, or of Z_tp when t
+    is 3 or 9, and then extended by Z_p first; B's factors fold in after.
+    The CRT split of Z_tp runs on indices: (x, y, r) at (x*p + y)*|B| + r
+    goes to (x mod p, y, x mod t, r).  prov holds the pipeline's own keys.
+    """
+    block = naut.alpha.blocks[0]
+    p, k = block.p, block.width
+    entries = fgm_extend_many(fgm_extend(base, p) if t > 1 else base, b).entries
+    if t > 1:  # the CRT split of Z_tp, two divmods per entry
+        nb, split = b.order, []
+        for e in entries:
+            xy, r = divmod(e, nb)
+            x, y = divmod(xy, p)
+            split.append((((x % p) * p + y) * t + x % t) * nb + r)
+        entries = tuple(split)
+    cofactors = ((t,) if t > 1 else ()) + b.factors
+    a = AbelianSpec((p,) * k + cofactors)
+    alpha = Automorphism((block,) + tuple(ScalarBlock(mod, 1) for mod in cofactors))
+    shared = {"p": p, "q": q, "b": list(b.factors), "d": naut.d, "seed": seed}
+    prov = {**prov, **shared, "alpha_block": [list(r) for r in block.mat]}
+    sd = SdSpec(q, a, alpha)
+    return _finish_template(sd, find_lambda(q), RTerrace(a, entries), p, k, prov)
+
+
 def sequence_non3(
     p: int, k: int, q: int, b: Optional[AbelianSpec] = None, seed: int = 0
 ) -> SequencingCertificate:
@@ -555,27 +584,14 @@ def sequence_non3(
     if b.order % 2 == 0 or b.order % 3 == 0:
         raise ValueError(f"|B| = {b.order} must be odd and coprime to 3")
     naut = build_nondiag_aut(p, k, q)
-    lam = find_lambda(q)
-    a = AbelianSpec((p,) * k + b.factors)
-    alpha = Automorphism(
-        (naut.alpha.blocks[0],) + tuple(ScalarBlock(mod, 1) for mod in b.factors)
-    )
-    sd = SdSpec(q, a, alpha)
     base, src = _pk_base(p, k, seed)
-    rt = fgm_extend_many(base, b)
     prov = {
         "pipeline": "non3",
-        "p": p,
         "k": k,
-        "q": q,
-        "b": list(b.factors),
-        "d": naut.d,
-        "alpha_block": [list(r) for r in naut.alpha.blocks[0].mat],
         "base_source": src,
-        "base": [list(e) for e in base.entries],
-        "seed": seed,
+        "base": _rows(base.group.columns(base.entries)),
     }
-    return _finish_template(sd, lam, rt, p, k, prov)
+    return _sequence_product(naut, q, 1, b, base, seed, prov)
 
 
 def sequence_theorem3(
@@ -587,10 +603,10 @@ def sequence_theorem3(
 ) -> SequencingCertificate:
     """Sequencing of Z_q x| (Z_p^2 x Z_3 x B), or with Z_9 when nine is set.
 
-    The 3-part rides inside the first cyclic factor of the product chain
-    (Z_3p from the Walecki lift, Z_9p from a constrained search) and is
-    split off afterwards by the CRT slot map, so the FGM extension never
-    sees a width divisible by 3.
+    The 3-part rides inside the leading cyclic factor of the product
+    chain (Z_3p from the Walecki lift, Z_9p from a constrained search)
+    and _sequence_product splits it off by CRT on the indices, so the
+    FGM extension never sees a width divisible by 3.
     """
     b = b if b is not None else AbelianSpec(())
     _check_order(q, (9 if nine else 3) * b.order, p, 2)
@@ -601,16 +617,12 @@ def sequence_theorem3(
     if b.order % 2 == 0 or b.order % 3 == 0:
         raise ValueError(f"|B| = {b.order} must be odd and coprime to 3")
     naut = build_nondiag_aut(p, 2, q)
-    lam = find_lambda(q)
     if not nine:
         kg = (3 * p - 1) // 2
-        gperm = walecki_graceful(kg)
-        lift = graceful_to_r_terrace(gperm)
+        lift = graceful_to_r_terrace(walecki_graceful(kg))
         j = 2 * p - 1  # the star of the lift
-        std = RTerrace(lift.group, lift.entries[j:] + lift.entries[:j], 0)
-        tmod = 3
-        chain = fgm_extend(std, p)
-        prov_base = {"walecki_k": kg, "star_index": j}
+        base = RTerrace(lift.group, lift.entries[j:] + lift.entries[:j], 0)
+        prov = {"walecki_k": kg, "star_index": j}
     else:
         base = search_r_terrace_retry(
             cyclic(9 * p),
@@ -618,35 +630,12 @@ def sequence_theorem3(
             element_orders=[(0, p), (1, p), (-1, p)],
             seeds=range(seed, seed + 8),
         )
-        tmod = 9
-        chain = fgm_extend(base, p)
-        prov_base = {
-            "searched_base": [e[0] for e in base.entries],
+        prov = {
+            "searched_base": list(base.entries),
             "order_constraints": [[0, p], [1, p], [-1, p]],
         }
-    chain = fgm_extend_many(chain, b)
-    a = AbelianSpec((p, p, tmod) + b.factors)
-    entries = [
-        (e[0] % p, e[1], e[0] % tmod) + tuple(e[2:]) for e in chain.entries
-    ]
-    rt = RTerrace(a, tuple(entries))  # CRT slot split of the leading factor
-    alpha = Automorphism(
-        (MatrixBlock(p, naut.alpha.blocks[0].mat), ScalarBlock(tmod, 1))
-        + tuple(ScalarBlock(mod, 1) for mod in b.factors)
-    )
-    sd = SdSpec(q, a, alpha)
-    prov = {
-        "pipeline": "theorem3",
-        "p": p,
-        "q": q,
-        "b": list(b.factors),
-        "nine": nine,
-        "d": naut.d,
-        "alpha_block": [list(r) for r in naut.alpha.blocks[0].mat],
-        "seed": seed,
-        **prov_base,
-    }
-    return _finish_template(sd, lam, rt, p, 2, prov)
+    prov.update(pipeline="theorem3", nine=nine)
+    return _sequence_product(naut, q, 9 if nine else 3, b, base, seed, prov)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ exactly once.  A star at position i means a_i = a_{i-1} + a_{i+1}
 (cyclic); standard form puts a star at the first position.
 
 Positions are 0-based throughout, including star indices.  Terraces
-hold elements; the randomized search works on the group's element
-indices and decodes only the terrace it returns.
+hold base indices, as AbelianSpec.indices gives them; only
+check_r_terrace and make_r_terrace take elements, as outside input.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ class CheckResult:
 @dataclass(frozen=True)
 class RTerrace:
     group: AbelianSpec
-    entries: tuple[AbElem, ...]
+    entries: tuple[int, ...]
     star_index: Optional[int] = None
 
     @property
     def is_standard(self) -> bool:
-        g, e = self.group, self.entries
-        return e[0] == g.add(e[-1], e[1 % len(e)])
+        e = self.entries  # a_0 = a_last + a_1: a_0 - a_last is a_1
+        return self.group.quot(e[-1], e[0]) == e[1 % len(e)]
 
 
 def check_r_terrace(group: AbelianSpec, entries: Sequence[AbElem]) -> CheckResult:
@@ -71,14 +71,14 @@ def check_r_terrace(group: AbelianSpec, entries: Sequence[AbElem]) -> CheckResul
 def make_r_terrace(
     group: AbelianSpec, entries: Sequence[AbElem], require_star: bool = False
 ) -> RTerrace:
-    """Validate entries and attach the smallest star index if one exists."""
+    """Validate elements and attach the smallest star index if one exists."""
     res = check_r_terrace(group, entries)
     if not res.is_r:
         raise NotATerrace(res.reason)
     if require_star and not res.star_indices:
         raise NoStarIndex("no position equals the sum of its neighbors")
     star = res.star_indices[0] if res.star_indices else None
-    return RTerrace(group, tuple(tuple(x) for x in entries), star)
+    return RTerrace(group, tuple(group.indices(entries)), star)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def fgm_extend(base: RTerrace, w: int) -> RTerrace:
     a with its head doubled, then k copies with the doubled head zeroed.
     Second coordinates: |A|-2 zeros, then for s = 1..2k a row of |A|-1
     values alternating -s, s and closed by 2s, then a final zero; each
-    row straddles a block boundary by one position.
+    row straddles a block boundary by one position; (c, d) is index c*w + d.
     """
     if w < 5 or w % 2 == 0 or w % 3 == 0:
         raise GroupFormatError(f"extension factor must be odd, >= 5, coprime to 3, got {w}")
@@ -106,9 +106,9 @@ def fgm_extend(base: RTerrace, w: int) -> RTerrace:
         raise GroupFormatError("base group of order 3 has no pair-shaped extension")
     if not base.entries or not base.is_standard:  # order 1 has no star
         raise GroupFormatError("base terrace must be standard (star at position 0)")
-    a, zero = base.entries, base.group.identity
+    a = base.entries
     m, k = len(a) + 1, (w - 1) // 2
-    first = list(a) + [a[0], *a] * k + [zero, zero, *a[1:]] * k
+    first = list(a) + [a[0], *a] * k + [0, 0, *a[1:]] * k
     second = [0] * (m - 2)
     for s in range(1, 2 * k + 1):
         second += [-s % w, s] * ((m - 1) // 2) + [2 * s % w]
@@ -116,7 +116,7 @@ def fgm_extend(base: RTerrace, w: int) -> RTerrace:
     product = AbelianSpec(base.group.factors + (w,))
     # an R*-terrace by theorem, so not re-checked; entries 0, 1 and -1
     # are (a_0, 0), (a_1, 0) and (a_last, 0), so the base's star stays at 0
-    return RTerrace(product, tuple(u + (z,) for u, z in zip(first, second)), 0)
+    return RTerrace(product, tuple(c * w + d for c, d in zip(first, second)), 0)
 
 
 def fgm_extend_many(base: RTerrace, b: AbelianSpec) -> RTerrace:
@@ -180,7 +180,7 @@ def search_r_terrace(
     meet only in 0 when their masks share bit 0 alone, and a mask's bit
     count is its element's order.  Index order is elements() order, so
     every node shuffles the same candidate list as a search on the
-    elements would.  Only the returned terrace holds elements.
+    elements would, and the returned terrace holds the indices as found.
     """
     cap = desk_cap(250)
     m = group.order
@@ -298,7 +298,7 @@ def search_r_terrace(
         if d is not None:
             used_diffs[d] = 1
         if len(entries) == n:
-            return RTerrace(group, tuple(zip(*group.columns(entries))), 0 if star else None)
+            return RTerrace(group, tuple(entries), 0 if star else None)
         stack.append(open_node())
 
 

@@ -250,18 +250,22 @@ def test_criterion_08_graceful():
 
 def test_criterion_09_extension_and_star():
     t0 = time.perf_counter()
+
+    def elems(t):  # base indices decoded for the checker
+        return list(zip(*t.group.columns(t.entries)))
+
     lift = graceful_to_r_terrace(walecki_graceful(3))
-    j = make_r_terrace(lift.group, lift.entries, require_star=True).star_index
+    j = make_r_terrace(lift.group, elems(lift), require_star=True).star_index
     base = RTerrace(lift.group, lift.entries[j:] + lift.entries[:j], 0)
     assert base.group.order == 7 and base.is_standard
     ext = fgm_extend(base, 5)
-    res = check_r_terrace(ext.group, ext.entries)
+    res = check_r_terrace(ext.group, elems(ext))
     assert len(ext.entries) == 34
     assert ext.group.order == 35
     assert res.is_r and 0 in res.star_indices and ext.is_standard
     for p in (5, 7):
         t = graceful_to_r_terrace(walecki_graceful((3 * p - 1) // 2))
-        stars = check_r_terrace(t.group, t.entries).star_indices
+        stars = check_r_terrace(t.group, elems(t)).star_indices
         # position 2p in 1-based counting
         assert (2 * p - 1) in stars, (p, stars)
     elapsed = time.perf_counter() - t0

@@ -113,7 +113,7 @@ def _scan_placement(values, m, first, last):
 def _cyclic_lists(m):
     hash_vals = list(bghj_base(cyclic(m)).hash.entries)
     gperm = walecki_graceful((m - 1) // 2)
-    return hash_vals, [e[0] for e in graceful_to_r_terrace(gperm).entries]
+    return hash_vals, list(graceful_to_r_terrace(gperm).entries)
 
 
 @pytest.mark.parametrize("m", [7, 9, 13, 25, 45, 49, 63, 81, 91, 315])
@@ -402,7 +402,7 @@ def test_walecki_star_for_3p():
 
     for p in (5, 7):
         lift = graceful_to_r_terrace(walecki_graceful((3 * p - 1) // 2))
-        res = check_r_terrace(lift.group, lift.entries)
+        res = check_r_terrace(lift.group, list(zip(*lift.group.columns(lift.entries))))
         assert 2 * p - 1 in res.star_indices
         j = 2 * p - 1
         assert RTerrace(lift.group, lift.entries[j:] + lift.entries[:j]).is_standard

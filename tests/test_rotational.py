@@ -26,7 +26,13 @@ from seqlatin.rotational import (
 )
 
 Z7 = cyclic(7)
-T7 = tuple((x,) for x in (1, 3, 2, 5, 6, 4))
+I7 = (1, 3, 2, 5, 6, 4)  # an R-terrace of Z_7 as base indices
+T7 = tuple((x,) for x in I7)  # and as elements, for the checker
+
+
+def elements(t):
+    """A terrace's base indices decoded to elements, for the checkers."""
+    return list(zip(*t.group.columns(t.entries)))
 
 
 def test_check_examples():
@@ -46,6 +52,7 @@ def test_check_wrong_length():
 def test_make_r_terrace():
     t = make_r_terrace(Z7, T7)
     assert t.star_index == 1
+    assert t.entries == I7
     with pytest.raises(NotATerrace):
         make_r_terrace(Z7, tuple((x,) for x in (1, 2, 3, 4, 5, 6)))
 
@@ -54,8 +61,9 @@ def test_make_r_terrace_requires_star():
     # Z_5 has R-terraces but none with a star
     t = make_r_terrace(cyclic(5), ((1,), (2,), (4,), (3,)))
     assert t.star_index is None
+    assert t.entries == (1, 2, 4, 3)
     with pytest.raises(NoStarIndex):
-        make_r_terrace(t.group, t.entries, require_star=True)
+        make_r_terrace(t.group, elements(t), require_star=True)
 
 
 # ---------------------------------------------------------------------------
@@ -63,15 +71,15 @@ def test_make_r_terrace_requires_star():
 
 
 def std7():
-    """T7 rotated to its star at 1."""
-    return RTerrace(Z7, T7[1:] + T7[:1], 0)
+    """I7 rotated to its star at 1."""
+    return RTerrace(Z7, I7[1:] + I7[:1], 0)
 
 
 def test_fgm_extend_z7_w5():
     out = fgm_extend(std7(), 5)
     assert out.group.factors == (7, 5)
     assert len(out.entries) == 34
-    res = check_r_terrace(out.group, out.entries)
+    res = check_r_terrace(out.group, elements(out))
     assert res.is_r
     assert out.is_standard
 
@@ -97,7 +105,7 @@ def test_fgm_extend_pipeline_bases(name, w):
     assert base.is_standard
     out = fgm_extend(base, w)
     assert out.group.factors == base.group.factors + (w,)
-    assert naive_r_terrace(out.group, out.entries)
+    assert naive_r_terrace(out.group, elements(out))
     assert out.is_standard and out.star_index == 0
 
 
@@ -132,22 +140,23 @@ def test_fgm_first_coordinates_reproduce_base():
     m = 7
     # first coordinates of the leading block reproduce the base; the
     # second coordinate stays zero up to the row straddle at m-2
-    assert tuple(e[:-1] for e in out.entries[: m - 1]) == base.entries
-    assert all(e[-1] == 0 for e in out.entries[: m - 2])
+    first, second = out.group.columns(out.entries)
+    assert tuple(first[: m - 1]) == base.entries
+    assert all(d == 0 for d in second[: m - 2])
 
 
 def test_fgm_extend_larger_factors():
     base = std7()
     for w in (7, 11, 13):
         out = fgm_extend(base, w)
-        assert check_r_terrace(out.group, out.entries).is_r
+        assert check_r_terrace(out.group, elements(out)).is_r
         assert out.is_standard
 
 
 def test_fgm_stacks():
     out = fgm_extend(fgm_extend(std7(), 5), 7)
     assert out.group.factors == (7, 5, 7)
-    assert check_r_terrace(out.group, out.entries).is_r
+    assert check_r_terrace(out.group, elements(out)).is_r
 
 
 def test_fgm_extend_many():
@@ -157,7 +166,7 @@ def test_fgm_extend_many():
     assert out.entries == fgm_extend(base, 5).entries
     out = fgm_extend_many(base, AbelianSpec((5, 11)))
     assert out.group.factors == (7, 5, 11)
-    assert check_r_terrace(out.group, out.entries).is_r
+    assert check_r_terrace(out.group, elements(out)).is_r
 
 
 def test_fgm_extend_many_order_385():
@@ -179,14 +188,14 @@ def test_fgm_extend_many_rejects_bad_b():
 
 def test_search_z9_star():
     t = search_r_terrace(cyclic(9), star=True)
-    assert check_r_terrace(t.group, t.entries).is_r
+    assert check_r_terrace(t.group, elements(t)).is_r
     assert t.is_standard
     assert t.star_index == 0
 
 
 def test_search_without_star_has_no_star_index():
     t = search_r_terrace(cyclic(9))
-    assert check_r_terrace(t.group, t.entries).is_r
+    assert check_r_terrace(t.group, elements(t)).is_r
     assert t.star_index is None
 
 
@@ -195,19 +204,18 @@ def test_search_z3_product_star(w):
     # the R*-terraces of Z_3 x Z_w that fgm_extend cannot build from Z_3
     g = AbelianSpec((3, w))
     t = search_r_terrace(g, star=True)
-    assert check_r_terrace(g, t.entries).is_r
+    assert check_r_terrace(g, elements(t)).is_r
     assert t.is_standard
 
 
 def test_search_z5sq_star_independent():
     g = AbelianSpec((5, 5))
     t = search_r_terrace(g, star=True, independent_ends=True)
-    assert check_r_terrace(t.group, t.entries).is_r
+    elems = elements(t)
+    assert check_r_terrace(t.group, elems).is_r
     assert t.is_standard
     # the cyclic subgroups of the ends meet only in 0
-    first, last = (
-        {tuple(k * x % 5 for x in e) for k in range(5)} for e in (t.entries[0], t.entries[-1])
-    )
+    first, last = ({tuple(k * x % 5 for x in e) for k in range(5)} for e in (elems[0], elems[-1]))
     assert first & last == {(0, 0)}
 
 
@@ -226,10 +234,10 @@ def test_search_rejects_unknown_constraint():
 
 def test_search_element_orders():
     g = AbelianSpec((45,))
-    t = search_r_terrace(g, element_orders=[(0, 5), (1, 5), (-1, 5)])
-    assert g.element_order(t.entries[0]) == 5
-    assert g.element_order(t.entries[1]) == 5
-    assert g.element_order(t.entries[-1]) == 5
+    elems = elements(search_r_terrace(g, element_orders=[(0, 5), (1, 5), (-1, 5)]))
+    assert g.element_order(elems[0]) == 5
+    assert g.element_order(elems[1]) == 5
+    assert g.element_order(elems[-1]) == 5
 
 
 @pytest.mark.parametrize(
@@ -252,9 +260,9 @@ def test_search_rejects_bad_element_orders(orders):
 
 def test_search_element_orders_span_every_position():
     # -8 and 7 are the first and last of the 8 positions of Z_9
-    t = search_r_terrace(cyclic(9), element_orders=[(-8, 3), (7, 9)])
-    assert cyclic(9).element_order(t.entries[0]) == 3
-    assert cyclic(9).element_order(t.entries[7]) == 9
+    elems = elements(search_r_terrace(cyclic(9), element_orders=[(-8, 3), (7, 9)]))
+    assert cyclic(9).element_order(elems[0]) == 3
+    assert cyclic(9).element_order(elems[7]) == 9
 
 
 def test_search_z5_star_fails():

@@ -254,11 +254,12 @@ def test_square_caller_detector():
     assert _callers(sources, "LatinSquare") == {"a.build", "a.rebuild", "b.C", "b.<module>"}
 
 
-# element arithmetic, and the strict map, RTerrace and transform_hash,
-# which would carry lists that are already indices through element tuples
+# element arithmetic, and the strict map and transform_hash, which would
+# carry lists that are already indices through element tuples; an
+# RTerrace holds base indices (test_r_terraces_hold_base_indices)
 ELEMENT_CALLS = {
     "apply_power", "apply", "add", "sub", "neg", "scale", "decode",
-    "indices", "transform_hash", "RTerrace",
+    "indices", "transform_hash",
 }
 
 # the certificate path, construction to JSON, which works on element indices
@@ -267,7 +268,14 @@ INDEX_PATH = (
     "harmonious.bghj_product",
     "harmonious.hash_for",
     "latin.walecki_terrace",
+    "graceful.graceful_to_r_terrace",
+    "rotational.RTerrace.is_standard",
+    "rotational.fgm_extend",
+    "rotational.fgm_extend_many",
+    "pipelines._pk_base",
+    "pipelines.sequence_cyclic",
     "pipelines._try_cyclic_candidate",
+    "pipelines._sequence_product",
     "template.theorem4_assign",
     "template.assemble",
     "pipelines._certify",
@@ -276,16 +284,19 @@ INDEX_PATH = (
 
 
 # element arithmetic on tuples, which the R-terrace search does on indices;
-# its returned RTerrace is where it decodes to elements
+# it returns the indices it found
 SEARCH_CALLS = {
     "add", "sub", "neg", "scale", "independent", "cyclic_subgroup", "element_order",
 }
 
 
 # the product finisher's element work, which it does on indices: tuple
-# sums and orders, alpha and psi per element, the transformed hash, and
-# a basis per candidate pair
-FINISHER_CALLS = SEARCH_CALLS | {"apply", "apply_power", "transform_hash", "extend_to_basis"}
+# sums and orders, alpha and psi per element, the transformed hash, a
+# basis per candidate pair, and the strict map, as its terrace already
+# holds indices
+FINISHER_CALLS = SEARCH_CALLS | {
+    "apply", "apply_power", "transform_hash", "extend_to_basis", "indices",
+}
 
 
 def _element_callers(sources: dict[str, ast.Module], targets, banned=ELEMENT_CALLS) -> set[str]:
@@ -311,11 +322,13 @@ def _element_callers(sources: dict[str, ast.Module], targets, banned=ELEMENT_CAL
 
 
 def test_certificate_path_does_no_element_arithmetic():
-    """The #-harmonious sequences, Walecki's terrace, the cyclic candidate,
+    """The #-harmonious sequences, Walecki's terrace and its lift, the
+    R-terrace layer (standard form, the product extension, the product
+    base), the cyclic pipeline and its candidate, the product builder,
     the Theorem-4 arrangement, the gate's caller and the JSON writer read
     and write indices: no tuple sum, twist or decode per element, and no
-    strict map, RTerrace or transform_hash to carry Z_m ints through
-    1-tuples.  A failed endpoint condition decodes its message apart."""
+    strict map or transform_hash to carry Z_m ints through 1-tuples.  A
+    failed endpoint condition decodes its message apart."""
     sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert _element_callers(sources, INDEX_PATH) == set()
 
@@ -329,11 +342,43 @@ def test_search_does_no_element_arithmetic():
 
 
 def test_product_finisher_does_no_element_arithmetic():
-    """The finisher maps the terrace and the hash to indices once, takes its
-    targets from the twist table, tests the p-block and independence on
-    index multiples and digits, and applies psi by its index table."""
+    """The finisher takes the terrace and the hash as base indices, takes
+    its targets from the twist table, tests the p-block and independence
+    on index multiples and digits, and applies psi by its index table."""
     sources = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert _element_callers(sources, ["pipelines._finish_template"], FINISHER_CALLS) == set()
+
+
+def test_r_terraces_hold_base_indices(monkeypatch):
+    """Every R-terrace on the product route, from the Z_p^k base and the
+    Walecki lift to the one the finisher takes, holds each int of
+    1..|A|-1 once: base indices of its group, not element tuples."""
+    from seqlatin import pipelines
+    from seqlatin.numtheory import classify_order
+
+    seen = {"_finish_template": [], "_pk_base": [], "graceful_to_r_terrace": []}
+
+    def recorded(name, pick):
+        fn = getattr(pipelines, name)
+
+        def wrapper(*args):
+            out = fn(*args)
+            seen[name].append(pick(args, out))
+            return out
+
+        monkeypatch.setattr(pipelines, name, wrapper)
+
+    recorded("_finish_template", lambda args, out: args[2])
+    recorded("_pk_base", lambda args, out: out[0])
+    recorded("graceful_to_r_terrace", lambda args, out: out)
+    for n in range(1, 5001, 2):
+        w = classify_order(n).witness
+        if w is not None and w.pipeline != "cyclic":
+            pipelines.sequence_order(n)
+    assert [len(v) for v in seen.values()] == [20, 15, 5]
+    for t in (t for terraces in seen.values() for t in terraces):
+        assert all(type(x) is int for x in t.entries)
+        assert sorted(t.entries) == list(range(1, t.group.order))
 
 
 def test_element_call_detector():
@@ -343,13 +388,13 @@ def test_element_call_detector():
         "def shows(decode, i):\n    return f'{decode(i)}'\n\n"
         "def passes(enc):\n    return report(enc.decode)\n\n"
         "def maps(enc, a):\n    return enc.indices(a.entries)\n\n"
-        "def wraps(A, xs):\n    return RTerrace(A, tuple((x,) for x in xs))\n\n"
+        "def wraps(A, xs):\n    return RTerrace(A, tuple(x * 5 for x in xs))\n\n"
         "def scales(h, u):\n    return harmonious.transform_hash(h, 'scale', u)\n"
     )
     b = "class C:\n    def m(self, alpha, v):\n        return alpha.apply_power(2, v)\n"
     sources = {"a": ast.parse(a), "b": ast.parse(b)}
-    flagged = {"a.adds", "a.shows", "a.maps", "a.wraps", "a.scales", "b.C.m"}
-    assert _element_callers(sources, ["a.clean", "a.passes", *flagged]) == flagged
+    flagged = {"a.adds", "a.shows", "a.maps", "a.scales", "b.C.m"}
+    assert _element_callers(sources, ["a.clean", "a.passes", "a.wraps", *flagged]) == flagged
     c = (
         "def search(A, enc, xs):\n    return RTerrace(A, tuple(zip(*enc.columns(xs))))\n\n"
         "def nested(A, x, y):\n    def step():\n        return A.sub(x, y)\n    return step\n\n"
@@ -366,10 +411,11 @@ def test_element_call_detector():
         "def twists(alpha, v):\n    return alpha.apply_power(2, v)\n\n"
         "def rotates(h):\n    return transform_hash(h, 'rotate', 1)\n\n"
         "def bases(u, v):\n    return groups.extend_to_basis([u, v], 2, 5)\n\n"
-        "def sums(A, x, y):\n    return A.add(x, y)\n"
+        "def sums(A, x, y):\n    return A.add(x, y)\n\n"
+        "def remaps(A, rt):\n    return A.indices(rt.entries)\n"
     )
     sources = {"d": ast.parse(d)}
-    flagged = {"d.maps", "d.twists", "d.rotates", "d.bases", "d.sums"}
+    flagged = {"d.maps", "d.twists", "d.rotates", "d.bases", "d.sums", "d.remaps"}
     assert _element_callers(sources, ["d.finish", *flagged], FINISHER_CALLS) == flagged
 
 
